@@ -2,15 +2,13 @@
 
 After the cross-entropy stage both models decode beams for the same image,
 and the distillation term needs to decide which target hypothesis teaches
-which online hypothesis.  The library ships five answers:
+which online hypothesis.  The library ships four answers:
 
     best            top target hypothesis -> top online hypothesis
     all             rank i -> rank i, averaged over the beam
     hungarian_best  cheapest bipartite match, then only the pair that
                     contains the top online hypothesis
     hungarian_all   every pair of the cheapest bipartite match
-    embedder_best   diagnostic: bag-embedding distance of the two top
-                    hypotheses (reported, not differentiated)
 
 This demo warms one XE state, clones it once per strategy, runs a short
 self-critical stretch on each clone, and prints the reward trajectory so
@@ -75,9 +73,8 @@ for strategy in tr.PAIRING_STRATEGIES:
 
 print("\nreward_mean is the average top-of-beam CIDEr-D; baseline is the "
       "average over whole\nbeams; kd is the masked squared logit gap of the "
-      "paired hypotheses (a bag-embedding\ndistance for the embedder "
-      "diagnostic).  On a desk this small the reward column\nconverges the "
-      "same way for every strategy -- the pairing choice shows up in the\n"
-      "distillation channel, where averaging over the beam ('all', "
-      "'hungarian_all') keeps\na larger teaching signal than the single "
+      "paired hypotheses.  On a desk\nthis small the reward column converges "
+      "the same way for every strategy -- the\npairing choice shows up in the "
+      "distillation channel, where averaging over the\nbeam ('all', "
+      "'hungarian_all') keeps a larger teaching signal than the single\n"
       "best pair.")

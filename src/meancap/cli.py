@@ -142,9 +142,11 @@ def parse_config(path, keyspec: dict) -> dict:
     return out
 
 
-def _model_config(cfg: dict, vocab_len: int) -> ModelConfig:
+def _model_config(cfg: dict, vocab_len: int, splits: dict) -> ModelConfig:
+    """The run's model; its input width is the width of the dataset's features."""
+    feature_dim = splits["train"][0].features.grid.shape[1]
     try:
-        return ModelConfig(vocab_size=vocab_len,
+        return ModelConfig(vocab_size=vocab_len, feature_dim=feature_dim,
                            **{k: cfg[k] for k in _MODEL_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -173,6 +175,8 @@ def load_dataset(data_dir):
                 raise DataError(f"split {name} references image {i} missing from captions.jsonl")
             samples.append(D.CaptionedSample(by_id[i], refs[i]))
         out[name] = samples
+    if not out["train"]:
+        raise DataError(f"split.json in {data_dir} has no training images")
     return out
 
 
@@ -235,7 +239,7 @@ def cmd_train_xe(args) -> int:
     cfg = parse_config(args.config, _TRAIN_XE_KEYS)
     splits = load_dataset(cfg["data_dir"])
     vocab = build_vocab(D.caption_corpus(), cfg["vocab_size"])
-    model_cfg = _model_config(cfg, len(vocab.tokens))
+    model_cfg = _model_config(cfg, len(vocab.tokens), splits)
     best = None
     if args.resume:
         try:
@@ -286,8 +290,8 @@ def cmd_train_scst(args) -> int:
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     vocab_probe = build_vocab(D.caption_corpus(), cfg["vocab_size"])
-    _require_config_match(ckpt.config, _model_config(cfg, len(vocab_probe.tokens)).to_dict(),
-                          args.checkpoint)
+    model_cfg = _model_config(cfg, len(vocab_probe.tokens), splits)
+    _require_config_match(ckpt.config, model_cfg.to_dict(), args.checkpoint)
     state, vocab = tr.state_from_checkpoint(ckpt)
     try:
         scst = tr.ScstConfig(strategy=cfg["strategy"], beam_size=cfg["beam_size"],
@@ -299,6 +303,8 @@ def cmd_train_scst(args) -> int:
         tr.prepare_for_scst(state, scst)
         best = None  # XE-stage validation scores are not comparable
     elif ckpt.stage == "scst":
+        if "stage_start" not in ckpt.extra:
+            raise DataError(f"scst checkpoint {args.checkpoint} lacks extra.stage_start")
         stage_start = int(ckpt.extra["stage_start"])
         state.lambda_kd = scst.lambda_kd
         best = ckpt.best

@@ -37,7 +37,7 @@ def _log_softmax(row: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def beam_search(expand, k: int, max_length: int, retain_logits: bool = True) -> list:
+def beam_search(expand, k: int, max_length: int) -> list:
     """Top-k hypotheses by cumulative log-probability, sorted descending.
 
     Each live hypothesis proposes its k best next tokens; the global best k
@@ -64,11 +64,10 @@ def beam_search(expand, k: int, max_length: int, retain_logits: bool = True) -> 
             logp = _log_softmax(row)
             # a single hypothesis can propose at most every token; the beam
             # itself may be wider than the vocabulary (enumeration regime)
-            best = sorted(range(len(logp)), key=lambda t: (-logp[t], t))[:min(k, len(logp))]
-            kept_row = [row] if retain_logits else []
-            for tok in best:
+            best = np.argsort(-logp, kind="stable")[:min(k, len(logp))]
+            for tok in best.tolist():
                 nh = Hypothesis(h.ids + [tok], h.logprob + float(logp[tok]),
-                                h.logits + kept_row, tok == EOS_ID)
+                                h.logits + [row], tok == EOS_ID)
                 candidates.append((-nh.logprob, tok, idx, nh))
         candidates.sort(key=lambda c: c[:3])
         beam = [c[3] for c in candidates[:k]]
@@ -76,7 +75,7 @@ def beam_search(expand, k: int, max_length: int, retain_logits: bool = True) -> 
     return beam
 
 
-def greedy(expand, max_length: int, retain_logits: bool = True) -> Hypothesis:
+def greedy(expand, max_length: int) -> Hypothesis:
     """Argmax decoding; argmax takes the lowest token id on exact ties."""
     h = Hypothesis([BOS_ID], 0.0)
     while not h.finished and len(h.ids) < max_length:
@@ -84,7 +83,7 @@ def greedy(expand, max_length: int, retain_logits: bool = True) -> Hypothesis:
         logp = _log_softmax(row)
         tok = int(np.argmax(logp))
         h = Hypothesis(h.ids + [tok], h.logprob + float(logp[tok]),
-                       h.logits + ([row] if retain_logits else []), tok == EOS_ID)
+                       h.logits + [row], tok == EOS_ID)
     return h
 
 
@@ -109,7 +108,7 @@ def model_expander(params, config, encoder_layers, gate_override=None):
     return expand
 
 
-def caption_image(params, config, grid, k: int, max_length=None, gate_override=None):
+def caption_image(params, config, grid, k: int, max_length=None):
     """Encode one image and beam-search a caption; returns the Beam."""
     from .fastdecode import FastDecoder
 
@@ -118,5 +117,5 @@ def caption_image(params, config, grid, k: int, max_length=None, gate_override=N
     max_length = config.max_length if max_length is None else max_length
     with T.no_grad():
         enc = encode(grid, params, config)
-    fast = FastDecoder(params, config, enc, gate_override=gate_override)
+    fast = FastDecoder(params, config, enc)
     return beam_search(fast.expand, k, max_length)

@@ -1,125 +1,65 @@
-"""Incrementally cached decoder for beam search, pure numpy, eval only.
+"""Prefix cache over the model's decoder layers, for beam search; eval only.
 
-Recomputing the whole prefix for every candidate makes beam search
-quadratic per token; this decoder computes exactly one new decoder row per
-prefix extension and memoizes per-prefix self-attention keys/values, so
-expanding sibling prefixes reuses their shared parent state.  Cross
-attention inputs are projected once per image.  Semantics match
-``model.decode_step`` (same operation order, no dropout); the equivalence
-test pins that down.
+Re-decoding every prefix from BOS makes beam search quadratic per token.
+This cache keeps, for each prefix it has decoded, every decoder layer's
+self-attention rows and the logits row, so extending a prefix decodes one
+new row against its parent's cached rows.  One ``expand`` call decodes all
+of its uncached prefixes in a single ``model.decode_layers`` pass: the
+parents' rows are stacked, and a block mask lets each new row see only its
+own parent's rows and itself, so prefixes of different lengths share the
+pass.  The cache keeps layer inputs, not their projections, so each pass
+projects the stacked rows and the encoder outputs again.  The arithmetic
+is the model's own; results match ``model.decode_step`` up to
+floating-point summation order, which the equivalence tests pin down.
 """
-
-import math
 
 import numpy as np
 
-from .model import ModelConfig, sinusoidal_encoding
+from . import tensor as T
+from .model import NEG_INF, ModelConfig, decode_layers
 from .tokenizer import BOS_ID
 
 
 class FastDecoder:
     def __init__(self, params, config: ModelConfig, encoder_layers, gate_override=None):
-        self.cfg = config
-        self.p = {name: t.data for name, t in params.items()}
+        self.params = params
+        self.config = config
+        self.encoder_layers = encoder_layers
         self.gate_override = gate_override
-        self.heads = config.num_heads
-        self.head_dim = config.model_dim // config.num_heads
-        enc = [e.data if hasattr(e, "data") else np.asarray(e) for e in encoder_layers]
-        self.enc_used = enc if config.mesh_enabled else [enc[-1]]
-        # cross-attention K/V depend only on the image: project once
-        self.cross_kv = []
-        for j in range(config.num_decoder_layers):
-            per_layer = []
-            for src in self.enc_used:
-                k = self._heads(src @ self.p[f"dec{j}.cross.wk.weight"] + self.p[f"dec{j}.cross.wk.bias"])
-                v = self._heads(src @ self.p[f"dec{j}.cross.wv.weight"] + self.p[f"dec{j}.cross.wv.bias"])
-                per_layer.append((k, v))
-            self.cross_kv.append(per_layer)
-        self.pe = sinusoidal_encoding(config.max_length, config.model_dim).astype(
-            self.p["embed.tokens"].dtype)
-        # prefix tuple -> (per-layer [(K,V)], logits row); K,V are (H, t, hd)
+        # prefix tuple -> (per-layer self-attention rows (t, d), logits row)
         self._cache = {}
 
-    def _heads(self, x):
-        t = x.shape[0]
-        return x.reshape(t, self.heads, self.head_dim).transpose(1, 0, 2)
-
-    def _norm(self, x, prefix):
-        mu = x.mean()
-        xc = x - mu
-        inv = 1.0 / np.sqrt((xc * xc).mean() + 1e-5)
-        return (xc * inv) * self.p[f"{prefix}.gain"] + self.p[f"{prefix}.bias"]
-
-    def _attend_row(self, q_row, k, v):
-        # q_row (d,) against cached k/v (H, t, hd)
-        q = q_row.reshape(self.heads, self.head_dim)
-        out = np.empty_like(q)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        for h in range(self.heads):
-            scores = (k[h] @ q[h]) * scale
-            e = np.exp(scores - scores.max())
-            out[h] = (e / e.sum()) @ v[h]
-        return out.reshape(-1)
-
-    def _row_state(self, prefix: tuple):
-        if prefix in self._cache:
-            return self._cache[prefix]
-        cfg, p = self.cfg, self.p
-        if len(prefix) == 1:
-            if prefix[0] != BOS_ID:
-                raise ValueError("decoder prefix must begin with BOS")
-            parent_layers = [(np.zeros((self.heads, 0, self.head_dim)),
-                              np.zeros((self.heads, 0, self.head_dim)))
-                             for _ in range(cfg.num_decoder_layers)]
-        else:
-            parent_layers, _ = self._row_state(prefix[:-1])
-        t = len(prefix) - 1
-        if t >= cfg.max_length:
-            raise ValueError(f"prefix length {len(prefix)} must stay under max_length {cfg.max_length}")
-        x = p["embed.tokens"][prefix[-1]] * math.sqrt(cfg.model_dim) + self.pe[t]
-        layers = []
-        for j in range(cfg.num_decoder_layers):
-            k_new = self._heads((x @ p[f"dec{j}.self.wk.weight"] + p[f"dec{j}.self.wk.bias"])[None, :])
-            v_new = self._heads((x @ p[f"dec{j}.self.wv.weight"] + p[f"dec{j}.self.wv.bias"])[None, :])
-            pk, pv = parent_layers[j]
-            k = np.concatenate([pk, k_new], axis=1)
-            v = np.concatenate([pv, v_new], axis=1)
-            layers.append((k, v))
-            q = x @ p[f"dec{j}.self.wq.weight"] + p[f"dec{j}.self.wq.bias"]
-            attn = self._attend_row(q, k, v) @ p[f"dec{j}.self.wo.weight"] + p[f"dec{j}.self.wo.bias"]
-            x = self._norm(x + attn, f"dec{j}.norm1")
-            cross = self._cross_row(x, j)
-            x = self._norm(x + cross, f"dec{j}.norm2")
-            ff = np.maximum(x @ p[f"dec{j}.ff.w1.weight"] + p[f"dec{j}.ff.w1.bias"], 0.0)
-            ff = ff @ p[f"dec{j}.ff.w2.weight"] + p[f"dec{j}.ff.w2.bias"]
-            x = self._norm(x + ff, f"dec{j}.norm3")
-        logits = x @ p["output.weight"] + p["output.bias"]
-        state = (layers, logits)
-        self._cache[prefix] = state
-        return state
-
-    def _cross_row(self, x, j):
-        p, cfg = self.p, self.cfg
-        q = x @ p[f"dec{j}.cross.wq.weight"] + p[f"dec{j}.cross.wq.bias"]
-        outs = []
-        for k, v in self.cross_kv[j]:
-            outs.append(self._attend_row(q, k, v) @ p[f"dec{j}.cross.wo.weight"]
-                        + p[f"dec{j}.cross.wo.bias"])
-        if not cfg.mesh_enabled:
-            return outs[0]
-        combined = None
-        for l, c in enumerate(outs):
-            if self.gate_override is not None:
-                gated = c * float(self.gate_override[l])
-            else:
-                gate = 1.0 / (1.0 + np.exp(-(x @ p[f"dec{j}.mesh{l}.gate.weight"]
-                                             + p[f"dec{j}.mesh{l}.gate.bias"])))
-                gated = gate * c
-            combined = gated if combined is None else combined + gated
-        return combined * (1.0 / len(outs))
-
     def logits_for(self, prefix) -> np.ndarray:
-        return self._row_state(tuple(prefix))[1]
+        return self.expand([prefix])[0]
 
     def expand(self, prefixes) -> np.ndarray:
-        return np.stack([self.logits_for(p) for p in prefixes])
+        prefixes = [tuple(p) for p in prefixes]
+        self._fill(prefixes)
+        return np.stack([self._cache[p][1] for p in prefixes])
+
+    def _fill(self, prefixes) -> None:
+        missing = [p for p in dict.fromkeys(prefixes) if p not in self._cache]
+        parents = [p[:-1] for p in missing if len(p) > 1 and p[:-1] not in self._cache]
+        if parents:
+            self._fill(parents)
+        missing = [p for p in missing if p not in self._cache]
+        if missing:
+            self._decode(missing)
+
+    def _decode(self, prefixes) -> None:
+        """One decoder pass over prefixes whose parents are all cached."""
+        if any(p[:1] != (BOS_ID,) for p in prefixes):
+            raise ValueError("decoder prefix must begin with BOS")
+        parents = [self._cache[p[:-1]][0] for p in prefixes if len(p) > 1]
+        past = [T.Tensor(np.concatenate([rows[j] for rows in parents]))
+                for j in range(self.config.num_decoder_layers)] if parents else None
+        lengths = [len(p) - 1 for p in prefixes]
+        ids = np.arange(len(prefixes))
+        owner = np.concatenate([np.repeat(ids, lengths), ids])  # the prefix each key row belongs to
+        mask = np.where(owner == ids[:, None], 0.0, NEG_INF).astype(self.params["embed.tokens"].dtype)
+        with T.no_grad():
+            logits, rows = decode_layers([p[-1] for p in prefixes], lengths, self.encoder_layers,
+                                         self.params, self.config, T.Tensor(mask), past=past,
+                                         gate_override=self.gate_override)
+        for i, p in enumerate(prefixes):
+            self._cache[p] = ([layer.data[owner == i] for layer in rows], logits.data[i])

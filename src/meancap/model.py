@@ -229,6 +229,38 @@ def _cross_attend(x, encoder_layers, params, j, config, gate_override):
     return T.scale(combined, 1.0 / num_enc)
 
 
+def decode_layers(token_ids, positions, encoder_layers, params, config: ModelConfig, mask,
+                  past=None, training=False, rng=None, gate_override=None):
+    """Run the decoder layers on new rows; returns (logits, per-layer rows).
+
+    Row i embeds ``token_ids[i]`` at position ``positions[i]``.  Decoder
+    layer j's self-attention reads ``past[j]`` (rows from an earlier call,
+    or nothing when ``past`` is None) followed by the new rows, and the
+    additive ``mask`` (new rows x all rows) says which of them each new row
+    may see.  The second result holds each layer's self-attention rows,
+    past followed by new: what a later call passes as ``past``.
+    """
+    positions = np.asarray(positions)
+    last = int(positions.max())
+    if last >= config.max_length:
+        raise ValueError(f"position {last} must stay under max_length {config.max_length}")
+    d = config.model_dim
+    x = T.scale(T.embedding(params["embed.tokens"], token_ids), math.sqrt(d))
+    pe = sinusoidal_encoding(last + 1, d)[positions].astype(x.dtype)
+    x = T.add(x, T.Tensor(pe))
+    x = T.dropout(x, config.dropout_rate, rng, training)
+    rows = []
+    for j in range(config.num_decoder_layers):
+        kv = x if past is None else T.concat([past[j], x], axis=0)
+        rows.append(kv)
+        attn = _attention(x, kv, params, f"dec{j}.self", config, mask=mask)
+        x = _sublayer(x, attn, params, f"dec{j}.norm1", config, training, rng)
+        cross = _cross_attend(x, encoder_layers, params, j, config, gate_override)
+        x = _sublayer(x, cross, params, f"dec{j}.norm2", config, training, rng)
+        x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, training, rng)
+    return _linear(x, params, "output"), rows
+
+
 def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
                   training=False, rng=None, gate_override=None) -> T.Tensor:
     """Teacher-forced logits (T, N): row t scores the token following position t."""
@@ -236,21 +268,10 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
     if not token_ids or token_ids[0] != BOS_ID:
         raise ValueError("decoder prefix must begin with BOS")
     t = len(token_ids)
-    if t > config.max_length:
-        raise ValueError(f"prefix length {t} exceeds max_length {config.max_length}")
-    d = config.model_dim
-    x = T.scale(T.embedding(params["embed.tokens"], token_ids), math.sqrt(d))
-    pe = sinusoidal_encoding(t, d).astype(x.dtype)
-    x = T.add(x, T.Tensor(pe))
-    x = T.dropout(x, config.dropout_rate, rng, training)
-    mask = causal_mask(t, dtype=x.dtype)
-    for j in range(config.num_decoder_layers):
-        attn = _attention(x, x, params, f"dec{j}.self", config, mask=mask)
-        x = _sublayer(x, attn, params, f"dec{j}.norm1", config, training, rng)
-        cross = _cross_attend(x, encoder_layers, params, j, config, gate_override)
-        x = _sublayer(x, cross, params, f"dec{j}.norm2", config, training, rng)
-        x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, training, rng)
-    return _linear(x, params, "output")
+    mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
+    logits, _ = decode_layers(token_ids, range(t), encoder_layers, params, config, mask,
+                              training=training, rng=rng, gate_override=gate_override)
+    return logits
 
 
 def decode_step(prefix_ids, encoder_layers, params, config: ModelConfig,
@@ -260,24 +281,3 @@ def decode_step(prefix_ids, encoder_layers, params, config: ModelConfig,
         raise ValueError(f"prefix length {len(prefix_ids)} must stay under max_length {config.max_length}")
     logits = decode_logits(prefix_ids, encoder_layers, params, config, gate_override=gate_override)
     return T.slice_rows(logits, logits.shape[0] - 1, logits.shape[0])
-
-
-@dataclass
-class CaptionModel:
-    """A config with one set of weights; convenience over the functional API."""
-
-    config: ModelConfig
-    params: dict
-
-    @classmethod
-    def create(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "CaptionModel":
-        return cls(config, init_params(config, seed, dtype))
-
-    def encode(self, grid, training=False, rng=None):
-        return encode(grid, self.params, self.config, training, rng)
-
-    def decode_logits(self, token_ids, encoder_layers, **kw):
-        return decode_logits(token_ids, encoder_layers, self.params, self.config, **kw)
-
-    def decode_step(self, prefix_ids, encoder_layers, **kw):
-        return decode_step(prefix_ids, encoder_layers, self.params, self.config, **kw)

@@ -19,7 +19,6 @@ ROLE_ONLINE = 2    # dropout in the online model
 ROLE_TARGET = 3    # dropout in the target model
 ROLE_BATCH = 4     # batch sampling in the training loop
 ROLE_DATA = 5      # synthetic dataset generation
-ROLE_DECODE = 6    # optional stochastic beam expansion
 
 
 def generator(seed: int, *key: int) -> np.random.Generator:

@@ -23,7 +23,7 @@ from .model import ModelConfig, copy_params, decode_logits, encode, init_params
 from .rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
 from .tokenizer import EOS_ID, Vocabulary, detokenize_ids, tokenize
 
-PAIRING_STRATEGIES = ("best", "all", "hungarian_best", "hungarian_all", "embedder_best")
+PAIRING_STRATEGIES = ("best", "all", "hungarian_best", "hungarian_all")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
@@ -262,11 +262,8 @@ def scst_step(state: TrainState, batch, scst: ScstConfig, df: metrics.DocumentFr
                 enc_t = encode(grid, state.target, cfg)
             target_beam = _beam_for(state.target, cfg, enc_t, k)
             kd = _kd_term(scst, online_beam, target_beam, online_logits, embedder)
-            if isinstance(kd, T.Tensor):
-                kd_values.append(float(kd.data))
-                terms.append(T.scale(kd, scst.lambda_kd))
-            elif kd is not None:
-                kd_values.append(kd)  # value-only term (embedder pairing)
+            kd_values.append(float(kd.data))
+            terms.append(T.scale(kd, scst.lambda_kd))
         if terms:
             image_losses.append(T.add_n(terms) if len(terms) > 1 else terms[0])
     if not any_text:
@@ -317,11 +314,6 @@ def _kd_term(scst: ScstConfig, online_beam, target_beam, online_logits, embedder
         for p in parts[1:]:
             summed = T.add(summed, p)
         return T.scale(summed, 1.0 / k)
-    if scst.strategy == "embedder_best":
-        e_t = embedder.embed(target_beam[0].ids)
-        e_o = embedder.embed(online_beam[0].ids)
-        diff = e_t - e_o
-        return float((diff * diff).mean())
     raise ValueError(f"unknown pairing strategy {scst.strategy!r}")
 
 

@@ -1,6 +1,7 @@
 """Command suite: determinism, the overfit smoke loop, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -132,6 +133,28 @@ def test_train_scst_runs_and_continues_step_count(overfit_run, tmp_path, capsys)
     assert ckpt.stage == "scst" and ckpt.extra["stage_start"] == 400
 
 
+def test_train_scst_rejects_scst_checkpoint_without_stage_start(overfit_run, tmp_path, capsys):
+    ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")
+    ckpt.stage, ckpt.extra = "scst", {}
+    path = tmp_path / "scst.ckpt"
+    save_checkpoint(path, ckpt)
+    cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "scst"), steps=1, **TINY_MODEL)
+    assert cli.main(["train-scst", cfg, str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "stage_start" in err["detail"]
+
+
+def test_train_xe_takes_feature_dim_from_the_data(tmp_path):
+    data = tmp_path / "data"
+    gen_cfg = write_cfg(tmp_path / "gen.cfg", out_dir=str(data), feature_dim=16, **GEN)
+    assert cli.main(["gen-data", gen_cfg]) == 0
+    xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=3, data_dir=str(data),
+                       out_dir=str(tmp_path / "xe"), steps=2, batch_size=4, **TINY_MODEL)
+    assert cli.main(["train-xe", xe_cfg]) == 0
+    assert load_checkpoint(tmp_path / "xe" / "last.ckpt").config["feature_dim"] == 16
+
+
 def test_train_scst_refuses_mismatched_config(overfit_run, tmp_path, capsys):
     wrong = dict(TINY_MODEL, model_dim=16, feedforward_dim=32)
     cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
@@ -159,6 +182,13 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
 
     xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=1, data_dir=str(tmp_path / "nodata"),
                        out_dir=str(tmp_path / "xe"), steps=1, **TINY_MODEL)
+    assert cli.main(["train-xe", xe_cfg]) == 3
+
+    no_train = tmp_path / "no_train"
+    shutil.copytree(overfit_run / "data", no_train)
+    (no_train / "split.json").write_text(json.dumps({"train": [], "val": [], "test": []}))
+    xe_cfg = write_cfg(tmp_path / "xe2.cfg", seed=1, data_dir=str(no_train),
+                       out_dir=str(tmp_path / "xe2"), steps=1, **TINY_MODEL)
     assert cli.main(["train-xe", xe_cfg]) == 3
     last_err = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(last_err)["error"] == "data"

@@ -143,7 +143,8 @@ def test_fast_decoder_matches_slow_path(mesh):
     enc = mdl.encode(rng.standard_normal((4, cfg.feature_dim)), params, cfg)
     slow = D.model_expander(params, cfg, enc)
     fast = FastDecoder(params, cfg, enc)
-    prefixes = [[BOS_ID], [BOS_ID, 4], [BOS_ID, 4, 7], [BOS_ID, 5, 3, 8, 6]]
+    prefixes = [[BOS_ID], [BOS_ID, 4], [BOS_ID, 4, 7], [BOS_ID, 5, 3, 8, 6],
+                [BOS_ID, 4], [BOS_ID, 5], [BOS_ID, 4, 7], [BOS_ID, 5, 7]]
     np.testing.assert_allclose(fast.expand(prefixes), slow(prefixes), atol=1e-9)
 
 
@@ -159,16 +160,19 @@ def test_fast_decoder_gate_override_matches_slow_path():
     np.testing.assert_allclose(fast.expand(prefixes), slow(prefixes), atol=1e-9)
 
 
-def test_fast_and_slow_beams_agree_on_real_model():
+@pytest.mark.parametrize("mesh", [False, True], ids=["plain", "mesh"])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+def test_fast_and_slow_beams_agree_on_real_model(mesh, dtype, tol):
     rng = np.random.default_rng(58)
-    cfg = tiny_config()
-    params = mdl.init_params(cfg, seed=5, dtype=np.float64)
+    cfg = tiny_config(mesh_enabled=mesh)
+    params = mdl.init_params(cfg, seed=5, dtype=dtype)
     enc = mdl.encode(rng.standard_normal((4, cfg.feature_dim)), params, cfg)
     slow_beam = D.beam_search(D.model_expander(params, cfg, enc), k=4, max_length=cfg.max_length)
     fast_beam = D.beam_search(FastDecoder(params, cfg, enc).expand, k=4, max_length=cfg.max_length)
     assert [h.ids for h in slow_beam] == [h.ids for h in fast_beam]
     for a, b in zip(slow_beam, fast_beam):
-        assert a.logprob == pytest.approx(b.logprob, abs=1e-9)
+        assert a.logprob == pytest.approx(b.logprob, abs=tol)
 
 
 def test_fast_decoder_validates_prefixes():

@@ -319,8 +319,9 @@ def test_distill_pair_masks_extra_rows():
 
 
 def test_scst_config_validation():
-    with pytest.raises(ValueError, match="strategy"):
-        tr.ScstConfig(strategy="nearest")
+    for unknown in ("nearest", "embedder_best"):
+        with pytest.raises(ValueError, match="strategy"):
+            tr.ScstConfig(strategy=unknown)
     with pytest.raises(ValueError, match="beam_size"):
         tr.ScstConfig(beam_size=1)
 
