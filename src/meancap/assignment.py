@@ -147,10 +147,7 @@ class BagEmbedder:
 
 
 def _content_ids(seq):
-    if isinstance(seq, TokenSequence):
-        ids = [t for t, m in zip(seq.ids, seq.mask) if m]
-    else:
-        ids = list(seq)
+    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     return [t for t in ids if t not in (PAD_ID, BOS_ID, EOS_ID)]
 
 

@@ -161,12 +161,16 @@ def load_dataset(data_dir):
         split = json.loads((base / "split.json").read_text())
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load dataset from {data_dir}: {exc}") from exc
+    if not isinstance(split, dict):
+        raise DataError(f"split.json in {data_dir} must be an object of splits")
     by_id = {g.image_id: g for g in grids}
     out = {}
     for name in ("train", "val", "test"):
         ids = split.get(name)
         if ids is None:
             raise DataError(f"split.json lacks the {name!r} split")
+        if not isinstance(ids, list) or not all(D.is_image_id(i) for i in ids):
+            raise DataError(f"split {name} in split.json must be a list of integer image ids")
         samples = []
         for i in ids:
             if i not in by_id:
@@ -383,12 +387,14 @@ def cmd_evaluate(args) -> int:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.candidates}:{line_no}: not valid JSON: {exc}") from exc
-        if "id" not in row or "caption" not in row:
-            raise DataError(f"{args.candidates}:{line_no}: needs id and caption fields")
-        image_id = int(row["id"])
+        if (not isinstance(row, dict) or not D.is_image_id(row.get("id"))
+                or not isinstance(row.get("caption"), str)):
+            raise DataError(f"{args.candidates}:{line_no}: needs an object with an integer id "
+                            f"and a caption string")
+        image_id = row["id"]
         if image_id not in refs:
             raise DataError(f"{args.candidates}:{line_no}: image {image_id} has no references")
-        candidates.append(str(row["caption"]))
+        candidates.append(row["caption"])
         references.append(refs[image_id])
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")

@@ -240,6 +240,11 @@ def write_captions(path, samples) -> None:
             fh.write(json.dumps({"id": s.features.image_id, "refs": s.references}) + "\n")
 
 
+def is_image_id(value) -> bool:
+    """A JSON image id: an integer, not a bool or a float."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_captions(path) -> dict:
     refs = {}
     with open(path) as fh:
@@ -251,7 +256,10 @@ def read_captions(path) -> dict:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"captions line {line_no} is not valid JSON: {exc}") from exc
-            if "id" not in row or "refs" not in row or not row["refs"]:
-                raise ValueError(f"captions line {line_no} needs an id and non-empty refs")
-            refs[int(row["id"])] = [str(r) for r in row["refs"]]
+            if not isinstance(row, dict) or not is_image_id(row.get("id")):
+                raise ValueError(f"captions line {line_no} needs an object with an integer id")
+            texts = row.get("refs")
+            if not isinstance(texts, list) or not texts or not all(isinstance(r, str) for r in texts):
+                raise ValueError(f"captions line {line_no} needs refs as a non-empty list of strings")
+            refs[row["id"]] = texts
     return refs

@@ -64,7 +64,7 @@ def beam_search(expand, k: int, max_length: int) -> list:
             logp = _log_softmax(row)
             # a single hypothesis can propose at most every token; the beam
             # itself may be wider than the vocabulary (enumeration regime)
-            best = np.argsort(-logp, kind="stable")[:min(k, len(logp))]
+            best = (-logp).argsort(kind="stable")[:min(k, len(logp))]
             for tok in best.tolist():
                 nh = Hypothesis(h.ids + [tok], h.logprob + float(logp[tok]),
                                 h.logits + [row], tok == EOS_ID)

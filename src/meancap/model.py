@@ -2,10 +2,10 @@
 
 The same architecture is instantiated twice during training (online and
 target), so everything here is functional: parameters travel as a named
-dict of Tensors whose name set is a pure function of the config.  All
-forward passes operate on a single image; batching is an explicit loop at
-the call site, which keeps single-sample and batched results identical by
-construction.
+dict of Tensors whose name set is a pure function of the config.  Every
+forward pass takes one image or a batch through the shape of its inputs:
+leading axes ride along through each op, and a batch's row i equals the
+result for its i-th image or sequence alone, up to float rounding.
 """
 
 import math
@@ -136,13 +136,18 @@ def _linear(x, params, prefix):
 
 
 def _heads_split(x, num_heads):
-    t, d = x.shape
-    return T.transpose(T.reshape(x, (t, num_heads, d // num_heads)), (1, 0, 2))
+    """(..., t, d) -> (..., heads, t, d / heads)."""
+    *lead, t, d = x.shape
+    n = len(lead)
+    x = T.reshape(x, (*lead, t, num_heads, d // num_heads))
+    return T.transpose(x, (*range(n), n + 1, n, n + 2))
 
 
 def _heads_join(x):
-    h, t, hd = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (t, h * hd))
+    """(..., heads, t, head_dim) -> (..., t, d)."""
+    *lead, h, t, hd = x.shape
+    n = len(lead)
+    return T.reshape(T.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, t, h * hd))
 
 
 def _attention(query_in, kv_in, params, prefix, config, mask=None, slots=None):
@@ -150,12 +155,16 @@ def _attention(query_in, kv_in, params, prefix, config, mask=None, slots=None):
     k = _linear(kv_in, params, f"{prefix}.wk")
     v = _linear(kv_in, params, f"{prefix}.wv")
     if slots is not None:
-        k = T.concat([k, params[f"{slots}.key"]], axis=0)
-        v = T.concat([v, params[f"{slots}.value"]], axis=0)
+        # every image attends to the same slots: look them up once per image
+        n = config.num_memory_slots
+        rows = np.broadcast_to(np.arange(n), (*kv_in.shape[:-2], n))
+        k = T.concat([k, T.embedding(params[f"{slots}.key"], rows)], axis=-2)
+        v = T.concat([v, T.embedding(params[f"{slots}.value"], rows)], axis=-2)
     k = _heads_split(k, config.num_heads)
     v = _heads_split(v, config.num_heads)
+    n = k.data.ndim - 2
     head_dim = config.model_dim // config.num_heads
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(head_dim))
+    scores = T.scale(T.matmul(q, T.transpose(k, (*range(n), n + 1, n))), 1.0 / math.sqrt(head_dim))
     if mask is not None:
         scores = T.add(scores, mask)
     return _linear(_heads_join(T.matmul(T.softmax(scores), v)), params, f"{prefix}.wo")
@@ -191,7 +200,8 @@ def sinusoidal_encoding(length: int, d: int) -> np.ndarray:
 
 
 def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
-    """All encoder layer outputs, each (G, model_dim).
+    """All encoder layer outputs, each (G, model_dim), for a (G, F) grid;
+    a (B, G, F) batch of grids gives (B, G, model_dim) outputs.
 
     Grid cells carry no positional encoding: the encoder treats them as a
     set, so permuting cells permutes every layer output identically.
@@ -200,8 +210,8 @@ def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
         x = grid
     else:
         x = T.Tensor(np.asarray(grid, dtype=params["encoder.input.weight"].data.dtype))
-    if x.shape[1] != config.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match config feature_dim {config.feature_dim}")
+    if x.shape[-1] != config.feature_dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match config feature_dim {config.feature_dim}")
     x = _linear(x, params, "encoder.input")
     outputs = []
     for i in range(config.num_encoder_layers):
@@ -233,11 +243,12 @@ def decode_layers(token_ids, positions, encoder_layers, params, config: ModelCon
                   past=None, training=False, rng=None, gate_override=None):
     """Run the decoder layers on new rows; returns (logits, per-layer rows).
 
-    Row i embeds ``token_ids[i]`` at position ``positions[i]``.  Decoder
-    layer j's self-attention reads ``past[j]`` (rows from an earlier call,
-    or nothing when ``past`` is None) followed by the new rows, and the
-    additive ``mask`` (new rows x all rows) says which of them each new row
-    may see.  The second result holds each layer's self-attention rows,
+    Row i embeds ``token_ids[..., i]`` at position ``positions[i]``; leading
+    axes of ``token_ids`` index sequences, each with its own encoder rows.
+    Decoder layer j's self-attention reads ``past[j]`` (rows from an earlier
+    call, or nothing when ``past`` is None) followed by the new rows, and
+    the additive ``mask`` (new rows x all rows) says which of them each new
+    row may see.  The second result holds each layer's self-attention rows,
     past followed by new: what a later call passes as ``past``.
     """
     positions = np.asarray(positions)
@@ -263,13 +274,19 @@ def decode_layers(token_ids, positions, encoder_layers, params, config: ModelCon
 
 def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
                   training=False, rng=None, gate_override=None) -> T.Tensor:
-    """Teacher-forced logits (T, N): row t scores the token following position t."""
-    token_ids = list(token_ids)
-    if not token_ids or token_ids[0] != BOS_ID:
+    """Teacher-forced logits (T, N): row t scores the token following position t.
+
+    ``token_ids`` is one BOS-led sequence (T,) or a batch (B, T) of them,
+    right-padded with any valid id, with (B, ...) encoder layers; a batch
+    gives (B, T, N) logits.  Under the causal mask no row sees a later key,
+    so a sequence's rows up to its own length never see its padding.
+    """
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    if token_ids.shape[-1:] == (0,) or np.any(token_ids[..., 0] != BOS_ID):
         raise ValueError("decoder prefix must begin with BOS")
-    t = len(token_ids)
+    t = token_ids.shape[-1]
     mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
-    logits, _ = decode_layers(token_ids, range(t), encoder_layers, params, config, mask,
+    logits, _ = decode_layers(token_ids, np.arange(t), encoder_layers, params, config, mask,
                               training=training, rng=rng, gate_override=gate_override)
     return logits
 

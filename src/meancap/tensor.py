@@ -61,13 +61,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A constant leaf sharing this tensor's data (no gradient flow)."""
-        return Tensor(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -232,25 +225,27 @@ def add_n(tensors) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+    """Matrix product over the last two axes; leading axes broadcast.
 
-    Supports 2D x 2D and stacked (equal leading batch axes) operands; no
-    batch broadcasting, the model never needs it.
+    A batch of rows times one weight matrix, (B, T, d) x (d, n), runs as a
+    single 2D product, and so does its weight gradient.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ValueError(f"matmul needs >=2D operands, got {ad.shape} x {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner extents differ: {ad.shape} x {bd.shape}")
-    if ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]:
-        raise ValueError(f"matmul batch extents differ: {ad.shape} x {bd.shape}")
-    out = ad @ bd
+    out = ad @ bd  # numpy rejects leading axes that do not broadcast
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(g @ np.swapaxes(bd, -1, -2))
+            a.accumulate_grad(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
         if b.requires_grad:
-            b.accumulate_grad(np.swapaxes(ad, -1, -2) @ g)
+            if bd.ndim == 2:
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+            b.accumulate_grad(gb)
 
     return _result(out, (a, b), bw)
 
@@ -285,12 +280,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = np.transpose(a.data, axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out = a.data.transpose(axes)
 
     def bw(g):
         if a.requires_grad:
-            a.accumulate_grad(np.transpose(g, inverse))
+            a.accumulate_grad(g.transpose(inverse))
 
     return _result(out, (a,), bw)
 
@@ -379,14 +374,18 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    """Zero-mean unit-variance over the last axis, then affine.
+
+    Means are sums divided by the width: the same bits as ndarray.mean,
+    without its per-call Python overhead.
+    """
+    d = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
-    d = x.data.shape[-1]
 
     def bw(g):
         if gain.requires_grad:
@@ -395,7 +394,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            term = gx - gx.sum(axis=-1, keepdims=True) / d - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / d
             x.accumulate_grad(term * inv)
 
     return _result(out, (x, gain, bias), bw)
@@ -449,16 +448,20 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def _prepare_targets(logits: Tensor, target_ids, mask):
+    """Validate (..., T) targets and mask against (..., T, N) logits; also
+    return each row's log-softmax and the entries picked by the targets."""
     ids = np.asarray(target_ids, dtype=np.int64)
-    t, n = logits.data.shape
-    if ids.shape != (t,):
-        raise ValueError(f"target length {ids.shape} does not match logits rows {t}")
+    rows, n = logits.data.shape[:-1], logits.data.shape[-1]
+    if ids.shape != rows:
+        raise ValueError(f"target shape {ids.shape} does not match logits rows {rows}")
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"target id out of range [0, {n}): max was {ids.max()}")
     m = np.asarray(mask, dtype=logits.data.dtype)
-    if m.shape != (t,):
-        raise ValueError(f"mask length {m.shape} does not match logits rows {t}")
-    return ids, m
+    if m.shape != rows:
+        raise ValueError(f"mask shape {m.shape} does not match logits rows {rows}")
+    logp = _row_log_softmax(logits.data)
+    picked = np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
+    return ids, m, logp, picked
 
 
 def _row_log_softmax(data: np.ndarray):
@@ -468,68 +471,70 @@ def _row_log_softmax(data: np.ndarray):
     return shifted - lse
 
 
-def cross_entropy(logits: Tensor, target_ids, mask) -> Tensor:
-    """Mean over valid timesteps of -log softmax(logits)[target].
+def _softmax_minus_onehot(logp: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """d(-log softmax[target]) / d logits, row by row."""
+    p = np.exp(logp)
+    flat = p.reshape(-1, p.shape[-1])
+    flat[np.arange(flat.shape[0]), ids.ravel()] -= 1.0
+    return p
 
-    Rows with mask 0 contribute exactly nothing, to the value and to every
-    gradient: their per-row terms are multiplied by 0.0 before any sum.
+
+def _valid_steps(m: np.ndarray, op: str) -> np.ndarray:
+    valid = m.sum(axis=-1)
+    if np.any(valid == 0):
+        raise ValueError(f"{op} needs at least one valid timestep in every sequence")
+    return valid
+
+
+def cross_entropy(logits: Tensor, target_ids, mask) -> Tensor:
+    """Mean of -log softmax(logits)[target] over each sequence's valid
+    timesteps, then over sequences; logits (..., T, N), targets and mask
+    (..., T).  Rows with mask 0 contribute exactly nothing, to the value and
+    to every gradient: their per-row terms are multiplied by 0.0 before any sum.
     """
-    ids, m = _prepare_targets(logits, target_ids, mask)
-    valid = m.sum()
-    if valid == 0:
-        raise ValueError("cross_entropy needs at least one valid timestep")
-    logp = _row_log_softmax(logits.data)
-    t = logits.data.shape[0]
-    per_row = -logp[np.arange(t), ids]
-    out = np.asarray((per_row * m).sum() / valid)
+    ids, m, logp, picked = _prepare_targets(logits, target_ids, mask)
+    valid = _valid_steps(m, "cross_entropy")
+    out = np.asarray(((-picked * m).sum(axis=-1) / valid).mean())
 
     def bw(g):
         if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(t), ids] -= 1.0
-            logits.accumulate_grad(p * (m / valid)[:, None] * g)
+            weight = m / valid[..., None] / valid.size
+            logits.accumulate_grad(_softmax_minus_onehot(logp, ids) * weight[..., None] * g)
 
     return _result(out, (logits,), bw)
 
 
 def sequence_log_prob(logits: Tensor, target_ids, mask) -> Tensor:
-    """Sum over valid timesteps of log softmax(logits)[target]."""
-    ids, m = _prepare_targets(logits, target_ids, mask)
-    logp = _row_log_softmax(logits.data)
-    t = logits.data.shape[0]
-    out = np.asarray((logp[np.arange(t), ids] * m).sum())
+    """Sum over all rows of mask weight times log softmax(logits)[target];
+    logits (..., T, N), targets and weights (..., T)."""
+    ids, m, logp, picked = _prepare_targets(logits, target_ids, mask)
+    out = np.asarray((picked * m).sum())
 
     def bw(g):
         if logits.requires_grad:
-            p = np.exp(logp)
-            p[np.arange(t), ids] -= 1.0
-            logits.accumulate_grad(-p * m[:, None] * g)
+            logits.accumulate_grad(-_softmax_minus_onehot(logp, ids) * m[..., None] * g)
 
     return _result(out, (logits,), bw)
 
 
 def masked_mse(target: Tensor, online: Tensor, mask) -> Tensor:
-    """Mean squared difference over entries at valid timesteps.
-
-    The target side is detached inside the op (the stop-gradient contract):
-    no gradient ever flows to ``target``, only to ``online``.  Reduction is
-    the mean over valid entries, i.e. valid timesteps times row width.
+    """Mean squared difference over each sequence's valid entries (valid
+    timesteps times row width), then over sequences; inputs (..., T, N),
+    mask (..., T).  The target side is detached inside the op (the
+    stop-gradient contract): no gradient ever flows to ``target``.
     """
     if target.data.shape != online.data.shape:
         raise ValueError(f"masked_mse shape mismatch: {target.data.shape} vs {online.data.shape}")
-    t, n = online.data.shape
     m = np.asarray(mask, dtype=online.data.dtype)
-    if m.shape != (t,):
-        raise ValueError(f"mask length {m.shape} does not match rows {t}")
-    valid = m.sum()
-    if valid == 0:
-        raise ValueError("masked_mse needs at least one valid timestep")
-    diff = (target.data - online.data) * m[:, None]
-    count = valid * n
-    out = np.asarray((diff * diff).sum() / count)
+    if m.shape != online.data.shape[:-1]:
+        raise ValueError(f"mask shape {m.shape} does not match rows {online.data.shape[:-1]}")
+    count = _valid_steps(m, "masked_mse") * online.data.shape[-1]
+    diff = (target.data - online.data) * m[..., None]
+    out = np.asarray(((diff * diff).sum(axis=(-2, -1)) / count).mean())
 
     def bw(g):
         if online.requires_grad:
-            online.accumulate_grad((-2.0 / count) * diff * g)
+            scale = (-2.0 / (count * count.size))[..., None, None]
+            online.accumulate_grad(scale * diff * g)
 
     return _result(out, (online,), bw)

@@ -44,33 +44,17 @@ class Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Caption as ids: BOS, subword pieces, one EOS, then optional PAD.
-
-    ``mask`` is 1 for real tokens including EOS and 0 for padding.
-    """
+    """Caption as ids: BOS, subword pieces, one EOS; never padded."""
 
     ids: list
-    mask: list
 
     def __post_init__(self):
-        if len(self.ids) != len(self.mask):
-            raise ValueError(f"ids/mask length mismatch: {len(self.ids)} vs {len(self.mask)}")
-        real = [i for i, m in zip(self.ids, self.mask) if m]
-        if not real or real[0] != BOS_ID:
+        if not self.ids or self.ids[0] != BOS_ID:
             raise ValueError("sequence must begin with BOS")
-        if real.count(EOS_ID) != 1 or real[-1] != EOS_ID:
-            raise ValueError("sequence must contain exactly one EOS, at the end of the masked region")
-        if PAD_ID in real:
-            raise ValueError("PAD inside the masked region")
-
-    def __len__(self):
-        return len(self.ids)
-
-    def padded(self, length: int) -> "TokenSequence":
-        if length < len(self.ids):
-            raise ValueError(f"cannot pad to {length}, sequence has {len(self.ids)} tokens")
-        extra = length - len(self.ids)
-        return TokenSequence(self.ids + [PAD_ID] * extra, self.mask + [0] * extra)
+        if self.ids.count(EOS_ID) != 1 or self.ids[-1] != EOS_ID:
+            raise ValueError("sequence must contain exactly one EOS, at the end")
+        if PAD_ID in self.ids:
+            raise ValueError("PAD inside the sequence")
 
 
 def _word_symbols(word: str) -> list:
@@ -152,16 +136,7 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenSequence:
         for symbol in _encode_word(word, vocab):
             ids.append(vocab.id_of(symbol))
     ids.append(EOS_ID)
-    return TokenSequence(ids, [1] * len(ids))
-
-
-def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    pieces = []
-    for tid, m in zip(seq.ids, seq.mask):
-        if not m or tid in (PAD_ID, BOS_ID, EOS_ID):
-            continue
-        pieces.append(vocab.tokens[tid])
-    return "".join(pieces).replace(WORD_END, " ").rstrip()
+    return TokenSequence(ids)
 
 
 def detokenize_ids(ids, vocab: Vocabulary) -> str:

@@ -21,7 +21,7 @@ from .decoding import beam_search, caption_image
 from .fastdecode import FastDecoder
 from .model import ModelConfig, copy_params, decode_logits, encode, init_params
 from .rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
-from .tokenizer import EOS_ID, Vocabulary, detokenize_ids, tokenize
+from .tokenizer import EOS_ID, PAD_ID, Vocabulary, detokenize_ids, tokenize
 
 PAIRING_STRATEGIES = ("best", "all", "hungarian_best", "hungarian_all")
 
@@ -119,6 +119,18 @@ def sequence_ids(text: str, vocab: Vocabulary, max_length: int) -> list:
     return ids
 
 
+def _teacher_forcing(sequences):
+    """Right-padded (B, T) decoder inputs, targets and step mask for a batch
+    of BOS-led id lists.  The mask comes from the lengths, not from the
+    padding id, which a decoder may also emit."""
+    steps = np.array([len(s) - 1 for s in sequences])
+    ids = np.full((len(sequences), steps.max() + 1), PAD_ID, dtype=np.int64)
+    for row, s in zip(ids, sequences):
+        row[:len(s)] = s
+    mask = (np.arange(steps.max()) < steps[:, None]).astype(np.float64)
+    return ids[:, :-1], ids[:, 1:], mask
+
+
 # ---------------------------------------------------------------------------
 # XE stage
 # ---------------------------------------------------------------------------
@@ -128,31 +140,25 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
             rng_target: KeyedRng) -> dict:
     """One optimizer step of cross-entropy plus logit distillation.
 
-    ``batch`` is a list of (grid, ids).  The distillation term compares
-    teacher-forced logits of the two models on the same reference; the
-    target pass never joins the gradient graph.
+    ``batch`` is a list of (grid, ids).  Each model encodes and decodes the
+    whole batch in one pass.  The distillation term compares teacher-forced
+    logits of the two models on the same reference; the target pass never
+    joins the gradient graph.
     """
     cfg = state.config
-    losses, ce_values, kd_values = [], [], []
-    for grid, ids in batch:
-        enc_o = encode(grid, state.online, cfg, training=True, rng=rng_online)
-        logits_o = decode_logits(ids[:-1], enc_o, state.online, cfg,
-                                 training=True, rng=rng_online)
-        targets = ids[1:]
-        valid = np.ones(len(targets))
-        ce = T.cross_entropy(logits_o, targets, valid)
-        ce_values.append(float(ce.data))
-        if state.lambda_kd > 0.0:
-            with T.no_grad():
-                enc_t = encode(grid, state.target, cfg, training=True, rng=rng_target)
-                logits_t = decode_logits(ids[:-1], enc_t, state.target, cfg,
-                                         training=True, rng=rng_target)
-            kd = T.masked_mse(T.Tensor(logits_t.data), logits_o, valid)
-            kd_values.append(float(kd.data))
-            losses.append(T.add(ce, T.scale(kd, state.lambda_kd)))
-        else:
-            losses.append(ce)
-    total = T.scale(T.add_n(losses), 1.0 / len(losses))
+    grids = np.stack([grid for grid, _ in batch])
+    inputs, targets, mask = _teacher_forcing([ids for _, ids in batch])
+    enc_o = encode(grids, state.online, cfg, training=True, rng=rng_online)
+    logits_o = decode_logits(inputs, enc_o, state.online, cfg, training=True, rng=rng_online)
+    total = ce = T.cross_entropy(logits_o, targets, mask)
+    kd = None
+    if state.lambda_kd > 0.0:
+        with T.no_grad():
+            enc_t = encode(grids, state.target, cfg, training=True, rng=rng_target)
+            logits_t = decode_logits(inputs, enc_t, state.target, cfg,
+                                     training=True, rng=rng_target)
+        kd = T.masked_mse(logits_t, logits_o, mask)
+        total = T.add(ce, T.scale(kd, state.lambda_kd))
     if not np.isfinite(total.data):
         raise TrainingDiverged(state.step + 1, {"xe_loss": float(total.data), "lr": lr})
     state.zero_grads()
@@ -162,10 +168,7 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
     if state.use_ema:
         ema_update(state.target, state.online, state.momentum)
     state.step += 1
-    return {
-        "xe_loss": sum(ce_values) / len(ce_values),
-        "kd_loss": sum(kd_values) / len(kd_values) if kd_values else None,
-    }
+    return {"xe_loss": float(ce.data), "kd_loss": None if kd is None else float(kd.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,87 +199,99 @@ def advantage(rewards) -> list:
     return [r - b for r in rewards]
 
 
-def distill_pair_logits(hyp_t, hyp_o, online_logits: T.Tensor = None):
-    """Masked MSE between two hypotheses' per-step logits.
+def distill_pair_logits(target_hyps, online_hyps, online_logits: T.Tensor):
+    """Masked MSE between paired hypotheses' per-step logits, averaged over pairs.
 
-    Rows align timestep-wise; whichever sequence is longer has its extra
-    rows masked out entirely.  Pass ``online_logits`` (a graph tensor of
-    the online hypothesis' teacher-forced logits) to make the loss
-    differentiable; otherwise both sides are constants.
+    Pair i aligns ``target_hyps[i]`` with ``online_hyps[i]``, whose
+    teacher-forced logits, right-padded, are row i of ``online_logits``
+    (P, T, N).  Rows align timestep-wise; whichever sequence is longer has
+    its extra rows masked out entirely.
     """
-    t_rows = np.stack(hyp_t.logits)
-    o_rows = online_logits if online_logits is not None else T.Tensor(np.stack(hyp_o.logits))
-    length = min(t_rows.shape[0], o_rows.shape[0])
-    t_slice = T.Tensor(np.ascontiguousarray(t_rows[:length], dtype=o_rows.dtype))
-    o_slice = T.slice_rows(o_rows, 0, length)
-    return T.masked_mse(t_slice, o_slice, np.ones(length))
+    lengths = [min(len(t.logits), len(o.logits)) for t, o in zip(target_hyps, online_hyps)]
+    target = np.zeros(online_logits.shape, dtype=online_logits.dtype)
+    for rows, h, n in zip(target, target_hyps, lengths):
+        rows[:n] = h.logits[:n]
+    mask = np.arange(target.shape[1]) < np.array(lengths)[:, None]
+    return T.masked_mse(T.Tensor(target), online_logits, mask)
 
 
-def _beam_for(params, cfg, enc_layers, k):
-    fast = FastDecoder(params, cfg, enc_layers)
-    return beam_search(fast.expand, k, cfg.max_length)
+def _pairs(strategy: str, target_beams, online_beams, embedder) -> list:
+    """(target hypothesis, online hypothesis number across the batch) pairs.
+
+    "best" strategies pair each image's top target hypothesis, "all" ones
+    every one; Hungarian ones pick online partners by a minimum-cost
+    assignment, the others by beam rank.
+    """
+    pairs, offset = [], 0
+    for target_beam, online_beam in zip(target_beams, online_beams):
+        partner = list(range(len(target_beam)))
+        if strategy in ("hungarian_best", "hungarian_all"):
+            cost = pairing_cost([h.ids for h in target_beam], [h.ids for h in online_beam], embedder)
+            partner = [int(j) for j in hungarian(cost)]
+        chosen = range(len(target_beam)) if strategy in ("all", "hungarian_all") else [0]
+        pairs += [(target_beam[i], offset + partner[i]) for i in chosen]
+        offset += len(online_beam)
+    return pairs
+
+
+def _beams(params, cfg, enc_layers, k):
+    """Gradient-free beams, one per image of the (B, G, d) encoder layers."""
+    beams = []
+    for b in range(enc_layers[0].shape[0]):
+        fast = FastDecoder(params, cfg, [T.Tensor(layer.data[b]) for layer in enc_layers])
+        beams.append(beam_search(fast.expand, k, cfg.max_length))
+    return beams
 
 
 def scst_step(state: TrainState, batch, scst: ScstConfig, df: metrics.DocumentFrequency,
               vocab: Vocabulary, embedder: BagEmbedder) -> dict:
     """One self-critical step: beam rewards, mean baseline, paired distillation.
 
-    ``batch`` is a list of (grid, reference texts).  The chosen online
-    hypotheses are re-scored teacher-forced inside the gradient graph (the
-    beam itself is decoded gradient-free).
+    ``batch`` is a list of (grid, reference texts).  Each model encodes the
+    batch once and beam-searches each image gradient-free; then all online
+    hypotheses are re-scored teacher-forced in one pass inside the gradient
+    graph, which the policy and distillation terms share.
     """
     cfg = state.config
     k = scst.beam_size
-    image_losses = []
-    top_rewards, baselines, kd_values = [], [], []
+    grids = np.stack([grid for grid, _ in batch])
+    enc_o = encode(grids, state.online, cfg)
+    online_beams = _beams(state.online, cfg, enc_o, k)
+    top_rewards, baselines, weights = [], [], []
     any_text = False
-    for grid, refs in batch:
-        enc_o = encode(grid, state.online, cfg)
-        online_beam = _beam_for(state.online, cfg, enc_o, k)
-        captions = [detokenize_ids(h.ids, vocab) for h in online_beam]
+    for beam, (_, refs) in zip(online_beams, batch):
+        captions = [detokenize_ids(h.ids, vocab) for h in beam]
         any_text = any_text or any(captions)
         rewards = [metrics.reward(c, refs, df) for c in captions]
         if not all(math.isfinite(r) for r in rewards):
             raise TrainingDiverged(state.step + 1, {"rewards": rewards})
         top_rewards.append(rewards[0])
         baselines.append(sum(rewards) / k)
-        adv = advantage(rewards)
-
-        logits_cache = {}
-
-        def online_logits(i):
-            if i not in logits_cache:
-                h = online_beam[i]
-                logits_cache[i] = decode_logits(h.ids[:-1], enc_o, state.online, cfg)
-            return logits_cache[i]
-
-        terms = []
-        for i, a in enumerate(adv):
-            if a != 0.0:
-                h = online_beam[i]
-                lp = T.sequence_log_prob(online_logits(i), h.ids[1:], np.ones(len(h.ids) - 1))
-                terms.append(T.scale(lp, -a / k))
-
-        if scst.lambda_kd > 0.0:
-            with T.no_grad():
-                enc_t = encode(grid, state.target, cfg)
-            target_beam = _beam_for(state.target, cfg, enc_t, k)
-            kd = _kd_term(scst, online_beam, target_beam, online_logits, embedder)
-            kd_values.append(float(kd.data))
-            terms.append(T.scale(kd, scst.lambda_kd))
-        if terms:
-            image_losses.append(T.add_n(terms) if len(terms) > 1 else terms[0])
+        # the batch mean of each image's policy loss -sum(a * log p) / k
+        weights += [-a / (k * len(batch)) for a in advantage(rewards)]
     if not any_text:
         raise TrainingDiverged(state.step + 1, {"reason": "all hypotheses empty"})
 
+    hyps = [h for beam in online_beams for h in beam]
+    inputs, targets, mask = _teacher_forcing([h.ids for h in hyps])
+    image = np.repeat(np.arange(len(batch)), [len(beam) for beam in online_beams])
+    rows = [T.embedding(layer, image) for layer in enc_o]
+    logits = decode_logits(inputs, rows, state.online, cfg)
+    total = T.sequence_log_prob(logits, targets, mask * np.array(weights)[:, None])
+    kd = None
+    if scst.lambda_kd > 0.0:
+        with T.no_grad():
+            enc_t = encode(grids, state.target, cfg)
+        target_beams = _beams(state.target, cfg, enc_t, k)
+        pairs = _pairs(scst.strategy, target_beams, online_beams, embedder)
+        partners = [j for _, j in pairs]
+        kd = distill_pair_logits([t for t, _ in pairs], [hyps[j] for j in partners],
+                                 T.embedding(logits, partners))
+        total = T.add(total, T.scale(kd, scst.lambda_kd))
+    if not np.isfinite(total.data):
+        raise TrainingDiverged(state.step + 1, {"scst_loss": float(total.data)})
     state.zero_grads()
-    if image_losses:
-        # images whose every term vanished contribute exactly zero, so
-        # summing the survivors and dividing by the full batch is the mean
-        total = T.scale(T.add_n(image_losses), 1.0 / len(batch))
-        if not np.isfinite(total.data):
-            raise TrainingDiverged(state.step + 1, {"scst_loss": float(total.data)})
-        T.backward(total)
+    T.backward(total)
     state.adam_t += 1
     adam_update(state.online, state.m, state.v, state.adam_t, scst.learning_rate)
     if state.use_ema:
@@ -285,36 +300,8 @@ def scst_step(state: TrainState, batch, scst: ScstConfig, df: metrics.DocumentFr
     return {
         "reward_mean": sum(top_rewards) / len(top_rewards),
         "baseline": sum(baselines) / len(baselines),
-        "kd_loss": sum(kd_values) / len(kd_values) if kd_values else None,
+        "kd_loss": None if kd is None else float(kd.data),
     }
-
-
-def _kd_term(scst: ScstConfig, online_beam, target_beam, online_logits, embedder):
-    if scst.strategy == "best":
-        return distill_pair_logits(target_beam[0], online_beam[0], online_logits(0))
-    if scst.strategy == "all":
-        k = len(target_beam)
-        parts = [distill_pair_logits(target_beam[i], online_beam[i], online_logits(i))
-                 for i in range(k)]
-        summed = parts[0]
-        for p in parts[1:]:
-            summed = T.add(summed, p)
-        return T.scale(summed, 1.0 / k)
-    if scst.strategy in ("hungarian_best", "hungarian_all"):
-        cost = pairing_cost([h.ids for h in target_beam], [h.ids for h in online_beam], embedder)
-        perm = hungarian(cost)
-        if scst.strategy == "hungarian_best":
-            j = int(perm[0])
-            return distill_pair_logits(target_beam[0], online_beam[j], online_logits(j))
-        k = len(target_beam)
-        parts = [distill_pair_logits(target_beam[i], online_beam[int(perm[i])],
-                                     online_logits(int(perm[i])))
-                 for i in range(k)]
-        summed = parts[0]
-        for p in parts[1:]:
-            summed = T.add(summed, p)
-        return T.scale(summed, 1.0 / k)
-    raise ValueError(f"unknown pairing strategy {scst.strategy!r}")
 
 
 # ---------------------------------------------------------------------------

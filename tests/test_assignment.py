@@ -142,3 +142,15 @@ def test_hungarian_pairs_near_duplicates_first():
     cost = A.pairing_cost(target, online, emb)
     perm = A.hungarian(cost)
     assert perm.tolist() == [1, 2, 0]
+
+
+def test_hungarian_total_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(44)
+    for n in range(2, 13):
+        for _ in range(3):
+            cost = rng.random((n, n)) * 10.0
+            perm = A.hungarian(cost)
+            assert sorted(perm.tolist()) == list(range(n))
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert abs(cost[np.arange(n), perm].sum() - cost[rows, cols].sum()) <= 1e-9

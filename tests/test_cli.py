@@ -193,6 +193,28 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
     last_err = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(last_err)["error"] == "data"
 
+    def assert_data_error(argv):
+        assert cli.main(argv) == 3, argv
+        last_err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last_err)["error"] == "data"
+
+    for split in ([], {"train": 5, "val": [], "test": []},
+                  {"train": [[1]], "val": [], "test": []}, {"train": [1.0], "val": [], "test": []}):
+        (no_train / "split.json").write_text(json.dumps(split))
+        assert_data_error(["train-xe", xe_cfg])
+
+    cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
+    good_cand, good_ref = '{"id": 1, "caption": "a dog"}', '{"id": 1, "refs": ["a dog"]}'
+    for bad in ('{"id": "abc", "caption": "a dog"}', '{"id": null, "caption": "a dog"}', "5",
+                '{"id": 1.7, "caption": "a dog"}', '{"id": 1, "caption": 3}'):
+        cands.write_text(good_cand + "\n" + bad + "\n")
+        refs.write_text(good_ref + "\n")
+        assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
+    for bad in ('{"id": null, "refs": ["a dog"]}', '{"id": 1, "refs": 5}', "7"):
+        cands.write_text(good_cand + "\n")
+        refs.write_text(good_ref + "\n" + bad + "\n")
+        assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
+
 
 def test_nan_checkpoint_exits_four(overfit_run, tmp_path, capsys):
     ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")

@@ -128,9 +128,10 @@ def test_captions_round_trip(tmp_path):
 
 def test_captions_reject_malformed(tmp_path):
     path = tmp_path / "caps.jsonl"
-    path.write_text('{"id": 1}\n')
-    with pytest.raises(ValueError, match="line 1"):
-        data.read_captions(path)
-    path.write_text("not json\n")
-    with pytest.raises(ValueError, match="line 1"):
-        data.read_captions(path)
+    for line in ['{"id": 1}', "not json", "7", '["a dog"]',
+                 '{"id": null, "refs": ["a dog"]}', '{"id": 1.7, "refs": ["a dog"]}',
+                 '{"id": true, "refs": ["a dog"]}', '{"id": "1", "refs": ["a dog"]}',
+                 '{"id": 1, "refs": 5}', '{"id": 1, "refs": []}', '{"id": 1, "refs": ["a dog", 3]}']:
+        path.write_text('{"id": 0, "refs": ["a cat"]}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            data.read_captions(path)

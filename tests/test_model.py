@@ -222,16 +222,28 @@ def test_mesh_gates_actually_mix_layers():
     assert not np.allclose(gated, pinned, atol=1e-8)
 
 
-def test_batch_of_one_equals_rows_of_batch():
+def test_batch_rows_equal_each_sample_alone():
+    """encode on (B, G, F) and decode_logits on right-padded (B, T) ids give,
+    row for row, what each grid and sequence gives alone."""
     rng = np.random.default_rng(40)
-    cfg = tiny_config()
-    params = make(cfg, seed=12)
-    grids = [rand_grid(rng, cfg) for _ in range(3)]
-    ids = [BOS_ID, 5, 6]
-    batch = [mdl.decode_logits(ids, mdl.encode(g, params, cfg), params, cfg).data for g in grids]
-    for i, g in enumerate(grids):
-        single = mdl.decode_logits(ids, mdl.encode(g, params, cfg), params, cfg).data
-        np.testing.assert_array_equal(single, batch[i])
+    seqs = [[BOS_ID, 5, 6, 2], [BOS_ID, 7], [BOS_ID, 4, 4, 9, 3, 8]]
+    padded = np.zeros((3, 6), dtype=np.int64)  # right padding with id 0
+    for row, ids in zip(padded, seqs):
+        row[:len(ids)] = ids
+    for mesh in (False, True):
+        cfg = tiny_config(mesh_enabled=mesh)
+        grids = [rand_grid(rng, cfg) for _ in range(3)]
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            params = mdl.init_params(cfg, 12, dtype=dtype)
+            batch_enc = mdl.encode(np.stack(grids), params, cfg)
+            batch_logits = mdl.decode_logits(padded, batch_enc, params, cfg).data
+            assert batch_logits.shape == (3, 6, cfg.vocab_size)
+            for i, (grid, ids) in enumerate(zip(grids, seqs)):
+                enc = mdl.encode(grid, params, cfg)
+                for layer, batch_layer in zip(enc, batch_enc):
+                    np.testing.assert_allclose(batch_layer.data[i], layer.data, rtol=0, atol=tol)
+                alone = mdl.decode_logits(ids, enc, params, cfg).data
+                np.testing.assert_allclose(batch_logits[i, :len(ids)], alone, rtol=0, atol=tol)
 
 
 def test_dropout_draws_affect_training_mode_only():

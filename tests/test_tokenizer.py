@@ -46,7 +46,7 @@ def test_round_trip_on_caption_corpus():
     vocab = tok.build_vocab(corpus, 200)
     for line in corpus:
         seq = tok.tokenize(line, vocab)
-        assert tok.detokenize(seq, vocab) == line
+        assert tok.detokenize_ids(seq.ids, vocab) == line
 
 
 def test_round_trip_with_small_vocab_forces_subwords():
@@ -55,7 +55,7 @@ def test_round_trip_with_small_vocab_forces_subwords():
     multi = 0
     for line in corpus:
         seq = tok.tokenize(line, vocab)
-        assert tok.detokenize(seq, vocab) == line
+        assert tok.detokenize_ids(seq.ids, vocab) == line
         multi += sum(1 for _ in seq.ids) > len(line.split()) + 2
     assert multi  # at least one line actually split into subword pieces
 
@@ -76,23 +76,13 @@ def test_unknown_symbol_rejected():
 
 def test_sequence_invariants_enforced():
     with pytest.raises(ValueError):
-        tok.TokenSequence([tok.EOS_ID, tok.BOS_ID], [1, 1])  # no BOS first
+        tok.TokenSequence([tok.EOS_ID, tok.BOS_ID])  # no BOS first
     with pytest.raises(ValueError):
-        tok.TokenSequence([tok.BOS_ID, 5, 5], [1, 1, 1])  # missing EOS
+        tok.TokenSequence([tok.BOS_ID, 5, 5])  # missing EOS
     with pytest.raises(ValueError):
-        tok.TokenSequence([tok.BOS_ID, tok.EOS_ID, tok.EOS_ID], [1, 1, 1])  # double EOS
+        tok.TokenSequence([tok.BOS_ID, tok.EOS_ID, tok.EOS_ID])  # double EOS
     with pytest.raises(ValueError):
-        tok.TokenSequence([tok.BOS_ID, tok.PAD_ID, tok.EOS_ID], [1, 1, 1])  # PAD inside
-
-
-def test_padding_extends_mask_with_zeros():
-    vocab = tok.build_vocab(["a a"], 5)
-    seq = tok.tokenize("a", vocab).padded(6)
-    assert len(seq) == 6
-    assert seq.ids[3:] == [tok.PAD_ID] * 3
-    assert seq.mask == [1, 1, 1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        seq.padded(2)
+        tok.TokenSequence([tok.BOS_ID, tok.PAD_ID, tok.EOS_ID])  # PAD inside
 
 
 def test_detokenize_ids_stops_at_eos():

@@ -6,15 +6,15 @@ import pytest
 from gradcheck import check_gradients
 from meancap import tensor as T
 from meancap import training as tr
-from meancap.assignment import BagEmbedder
+from meancap.assignment import BagEmbedder, hungarian, pairing_cost
 from meancap.checkpoint import load_checkpoint
 from meancap.data import caption_corpus, generate_synthetic_dataset, split_dataset
 from meancap.decoding import Hypothesis, beam_search
 from meancap.fastdecode import FastDecoder
-from meancap.metrics import DocumentFrequency
+from meancap.metrics import DocumentFrequency, reward
 from meancap.model import ModelConfig, decode_logits, encode, init_params
 from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, generator
-from meancap.tokenizer import EOS_ID, build_vocab, tokenize
+from meancap.tokenizer import EOS_ID, build_vocab, detokenize_ids, tokenize
 
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
@@ -183,6 +183,9 @@ def plain_xe_loop(samples, vocab, cfg, seed, steps, batch_size, warmup):
     Shares the leaf building blocks (forward ops, Adam, schedule) but none
     of the twin-model plumbing; used to pin down what the full pipeline
     must collapse to when distillation and the target model are inert.
+    Like the pipeline, it encodes and decodes each step's batch in one pass
+    (right-padded references, a step mask from their lengths), so the
+    dropout draws cover the same batched shapes.
     """
     params = init_params(cfg, seed, np.float32)
     m = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -193,17 +196,24 @@ def plain_xe_loop(samples, vocab, cfg, seed, steps, batch_size, warmup):
         idx = generator(seed, ROLE_BATCH, step, 0).permutation(len(samples))[:batch_size]
         u = generator(seed, ROLE_BATCH, step, 1).random(len(idx))
         rng.begin_step(step)
-        ces = []
+        grids, seqs = [], []
         for j, i in enumerate(idx):
             s = samples[int(i)]
             ref = s.references[int(u[j] * len(s.references))]
             ids = tokenize(ref, vocab).ids
             if len(ids) > cfg.max_length:
                 ids = ids[:cfg.max_length - 1] + [EOS_ID]
-            enc = encode(s.features.grid, params, cfg, training=True, rng=rng)
-            logits = decode_logits(ids[:-1], enc, params, cfg, training=True, rng=rng)
-            ces.append(T.cross_entropy(logits, ids[1:], np.ones(len(ids) - 1)))
-        loss = T.scale(T.add_n(ces), 1.0 / len(ces))
+            grids.append(s.features.grid)
+            seqs.append(ids)
+        width = max(len(ids) for ids in seqs)
+        padded = np.zeros((len(seqs), width), dtype=np.int64)
+        mask = np.zeros((len(seqs), width - 1))
+        for row, ids in enumerate(seqs):
+            padded[row, :len(ids)] = ids
+            mask[row, :len(ids) - 1] = 1.0
+        enc = encode(np.stack(grids), params, cfg, training=True, rng=rng)
+        logits = decode_logits(padded[:, :-1], enc, params, cfg, training=True, rng=rng)
+        loss = T.cross_entropy(logits, padded[:, 1:], mask)
         losses.append(float(loss.data))
         for p in params.values():
             p.zero_grad()
@@ -295,11 +305,114 @@ def test_policy_gradient_matches_finite_differences():
     check_gradients(make_loss, leaves, tol=1e-4)
 
 
+# ---------------------------------------------------------------------------
+# batched steps against per-sample loops
+# ---------------------------------------------------------------------------
+
+
+def xe_loss_per_sample(state, batch):
+    """The XE objective as a loop over samples: the mean over samples of
+    each one's cross-entropy plus lambda_kd times its logit MSE."""
+    cfg = state.config
+    losses = []
+    for grid, ids in batch:
+        logits = decode_logits(ids[:-1], encode(grid, state.online, cfg), state.online, cfg)
+        valid = np.ones(len(ids) - 1)
+        with T.no_grad():
+            target = decode_logits(ids[:-1], encode(grid, state.target, cfg), state.target, cfg)
+        kd = T.masked_mse(target, logits, valid)
+        losses.append(T.add(T.cross_entropy(logits, ids[1:], valid), T.scale(kd, state.lambda_kd)))
+    return T.scale(T.add_n(losses), 1.0 / len(losses))
+
+
+def scst_loss_per_image(state, batch, scst, df, vocab, embedder):
+    """The SCST objective as a loop over images, each hypothesis re-scored
+    alone and each pair distilled alone."""
+    cfg, k = state.config, scst.beam_size
+    losses = []
+    for grid, refs in batch:
+        enc_o = encode(grid, state.online, cfg)
+        online = beam_search(FastDecoder(state.online, cfg, enc_o).expand, k, cfg.max_length)
+        rewards = [reward(detokenize_ids(h.ids, vocab), refs, df) for h in online]
+        logits = [decode_logits(h.ids[:-1], enc_o, state.online, cfg) for h in online]
+        terms = [T.scale(T.sequence_log_prob(lg, h.ids[1:], np.ones(len(h.ids) - 1)), -a / k)
+                 for lg, h, a in zip(logits, online, tr.advantage(rewards))]
+        with T.no_grad():
+            enc_t = encode(grid, state.target, cfg)
+        target = beam_search(FastDecoder(state.target, cfg, enc_t).expand, k, cfg.max_length)
+        partner = list(range(k))
+        if scst.strategy in ("hungarian_best", "hungarian_all"):
+            cost = pairing_cost([h.ids for h in target], [h.ids for h in online], embedder)
+            partner = [int(j) for j in hungarian(cost)]
+        pairs = []
+        for i in (range(k) if scst.strategy in ("all", "hungarian_all") else [0]):
+            rows = logits[partner[i]]
+            n = min(len(target[i].logits), rows.shape[0])
+            pairs.append(T.masked_mse(T.Tensor(np.stack(target[i].logits[:n])),
+                                      T.slice_rows(rows, 0, n), np.ones(n)))
+        kd = T.scale(T.add_n(pairs), 1.0 / len(pairs))
+        losses.append(T.add_n(terms + [T.scale(kd, scst.lambda_kd)]))
+    return T.scale(T.add_n(losses), 1.0 / len(batch))
+
+
+def twin_state(cfg, seed=17):
+    """A float64 state whose target differs from its online model."""
+    state = tr.TrainState.create(cfg, seed, lambda_kd=0.5, dtype=np.float64)
+    for p in state.target.values():
+        p.data = p.data + 0.01
+    return state
+
+
+def assert_same_grads(got, want):
+    def grad(p):
+        return p.grad if p.grad is not None else np.zeros_like(p.data)
+
+    largest = max(np.abs(grad(p)).max() for p in want.values())
+    assert largest > 0
+    worst = max(np.abs(grad(got[n]) - grad(want[n])).max() for n in want)
+    assert worst <= 1e-12 * largest, (worst, largest)
+
+
+def test_batched_xe_step_matches_loop_over_samples():
+    samples, vocab, cfg = tiny_setup(dropout_rate=0.0)
+    batch = [(s.features.grid, tr.sequence_ids(s.references[j % 3], vocab, cfg.max_length))
+             for j, s in enumerate(samples[:4])]
+    assert len({len(ids) for _, ids in batch}) > 1  # the batch needs padding
+    state, ref = twin_state(cfg), twin_state(cfg)
+    tr.xe_step(state, batch, 1e-3, KeyedRng(17, ROLE_ONLINE), KeyedRng(17, 3))
+    T.backward(xe_loss_per_sample(ref, batch))
+    assert_same_grads(state.online, ref.online)
+
+
+@pytest.mark.parametrize("strategy", tr.PAIRING_STRATEGIES)
+def test_batched_scst_step_matches_loop_over_images(strategy):
+    samples, vocab, cfg = tiny_setup(dropout_rate=0.0)
+    scst = tr.ScstConfig(strategy=strategy, beam_size=3, learning_rate=1e-4, lambda_kd=0.5)
+    state, ref = twin_state(cfg), twin_state(cfg)
+    # each image's references are its own top online caption, so rewards
+    # differ within every beam and the policy term has weight everywhere
+    batch, beams = [], []
+    for s in samples[:3]:
+        enc = encode(s.features.grid, ref.online, cfg)
+        beams.append(beam_search(FastDecoder(ref.online, cfg, enc).expand, 3, cfg.max_length))
+        batch.append((s.features.grid, [detokenize_ids(beams[-1][0].ids, vocab)]))
+    df = DocumentFrequency([refs for _, refs in batch])
+    for beam, (_, refs) in zip(beams, batch):
+        rewards = [reward(detokenize_ids(h.ids, vocab), refs, df) for h in beam]
+        assert min(map(abs, tr.advantage(rewards))) > 0
+    emb = BagEmbedder.from_corpus([tokenize(r, vocab).ids for _, refs in batch for r in refs],
+                                  len(vocab.tokens))
+    tr.scst_step(state, batch, scst, df, vocab, emb)
+    loss = scst_loss_per_image(ref, batch, scst, df, vocab, emb)
+    T.backward(loss)
+    assert_same_grads(state.online, ref.online)
+
+
 def test_distill_pair_identical_hypotheses_is_zero():
     rng = np.random.default_rng(3)
     rows = [rng.normal(size=9) for _ in range(4)]
     h = Hypothesis(ids=[1, 5, 6, 7, 2], logprob=-1.0, logits=rows, finished=True)
-    loss = tr.distill_pair_logits(h, h)
+    loss = tr.distill_pair_logits([h], [h], T.tensor(np.stack(rows)[None]))
     assert float(loss.data) == 0.0
 
 
@@ -309,13 +422,13 @@ def test_distill_pair_masks_extra_rows():
     o_rows = [rng.normal(size=6) for _ in range(5)]
     h_t = Hypothesis(ids=[1, 4, 5, 2], logprob=-1.0, logits=t_rows, finished=True)
     h_o = Hypothesis(ids=[1, 4, 5, 6, 7, 2], logprob=-2.0, logits=o_rows, finished=True)
-    online = T.parameter(np.stack(o_rows))
-    loss = tr.distill_pair_logits(h_t, h_o, online)
+    online = T.parameter(np.stack(o_rows)[None])
+    loss = tr.distill_pair_logits([h_t], [h_o], online)
     want = np.mean((np.stack(t_rows) - np.stack(o_rows)[:3]) ** 2)
     assert abs(float(loss.data) - want) < 1e-12
     T.backward(loss)
-    assert np.abs(online.grad[:3]).max() > 0
-    assert not online.grad[3:].any()  # rows past the shared length are masked
+    assert np.abs(online.grad[0, :3]).max() > 0
+    assert not online.grad[0, 3:].any()  # rows past the shared length are masked
 
 
 def test_scst_config_validation():
