@@ -4,7 +4,7 @@
 #   gen-data -> train-xe -> train-scst -> caption -> evaluate
 #
 # Every run leaves a manifest.json next to its outputs, training appends one
-# JSON line per step to log.jsonl, and the same config file given twice
+# JSON line per step to train_log.jsonl, and the same config file given twice
 # reproduces every output byte for byte.  Roughly a minute on one core.
 #
 #   bash demos/cli_walkthrough.sh [workdir]
@@ -54,6 +54,8 @@ echo "train-xe: last logged step:"
 tail -n 1 "$WORK/xe/train_log.jsonl"
 
 # --- 3. self-critical stage, resuming the step counter ----------------------
+# The model and its vocabulary come from the checkpoint, so this config
+# holds only the stage's own keys.
 
 cat > "$WORK/scst.cfg" <<EOF
 data_dir = "$WORK/data"
@@ -63,11 +65,6 @@ batch_size = 4
 strategy = "all"
 beam_size = 3
 learning_rate = 5e-5
-model_dim = 32
-feedforward_dim = 128
-num_encoder_layers = 1
-num_decoder_layers = 1
-num_memory_slots = 4
 EOF
 $RUN train-scst "$WORK/scst.cfg" "$WORK/xe/best.ckpt"
 echo "train-scst: last logged step:"

@@ -9,6 +9,7 @@ is self-contained.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ class Checkpoint:
     stage: str
     momentum: float
     lambda_kd: float
-    use_ema: bool
     groups: dict  # group name -> {param name -> ndarray}
     best: dict = None
     extra: dict = field(default_factory=dict)
@@ -59,17 +59,27 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "stage": ckpt.stage,
         "momentum": ckpt.momentum,
         "lambda_kd": ckpt.lambda_kd,
-        "use_ema": ckpt.use_ema,
         "groups": listing,
         "best": ckpt.best,
         "extra": ckpt.extra,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + b"".join(blobs)
-    with open(path, "wb") as fh:
-        fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    # write beside the target, then rename over it: a failed save leaves
+    # the previous checkpoint whole
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head)))
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -112,7 +122,6 @@ def load_checkpoint(path) -> Checkpoint:
         stage=header["stage"],
         momentum=header["momentum"],
         lambda_kd=header["lambda_kd"],
-        use_ema=header["use_ema"],
         groups=groups,
         best=header.get("best"),
         extra=header.get("extra", {}),

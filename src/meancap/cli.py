@@ -7,14 +7,17 @@
     evaluate    CANDS REFS --out F      metric bundle as JSON
 
 Every numeric hyperparameter lives in the config file (``key = value``
-lines, values in JSON syntax), so the manifest's config snapshot pins a
-run completely.  Commands print a machine-readable JSON error on stderr
-and exit 2 (config), 3 (data), or 4 (numeric failure).
+lines, values in JSON syntax), but train-scst takes the model and its
+vocabulary from its checkpoint: a manifest's config snapshot and the
+checkpoint it names as source pin a run completely.  Commands print a
+machine-readable JSON error on stderr and exit 2 (config), 3 (data), or 4
+(numeric failure).
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,7 +93,6 @@ _TRAIN_SCST_KEYS = {
     "data_dir": (str, _REQUIRED),
     "out_dir": (str, _REQUIRED),
     "steps": (int, _REQUIRED),
-    "vocab_size": (int, 200),
     "batch_size": (int, 8),
     "strategy": (str, "best"),
     "beam_size": (int, 5),
@@ -98,7 +100,6 @@ _TRAIN_SCST_KEYS = {
     "lambda_kd": (float, 0.1),
     "val_every": (int, 0),
     "val_beam": (int, 5),
-    **_MODEL_KEYS,
 }
 
 
@@ -142,12 +143,11 @@ def parse_config(path, keyspec: dict) -> dict:
     return out
 
 
-def _model_config(cfg: dict, vocab_len: int, splits: dict) -> ModelConfig:
-    """The run's model; its input width is the width of the dataset's features."""
-    feature_dim = splits["train"][0].features.grid.shape[1]
+@contextmanager
+def _config_values():
+    """The library rejects out-of-range values with ValueError; here that is a config error."""
     try:
-        return ModelConfig(vocab_size=vocab_len, feature_dim=feature_dim,
-                           **{k: cfg[k] for k in _MODEL_KEYS})
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,7 +214,8 @@ def write_manifest(path, command: str, config: dict, seed, start_step, end_step,
 def cmd_gen_data(args) -> int:
     started = _now()
     cfg = parse_config(args.config, _GEN_DATA_KEYS)
-    try:
+    out = Path(cfg["out_dir"])
+    with _config_values():
         samples = D.generate_synthetic_dataset(
             seed=cfg["seed"], num_images=cfg["num_images"],
             objects_per_image=(cfg["min_objects"], cfg["max_objects"]),
@@ -222,11 +223,8 @@ def cmd_gen_data(args) -> int:
             feature_dim=cfg["feature_dim"], noise_sigma=cfg["noise_sigma"])
         fractions = (cfg["train_fraction"], cfg["val_fraction"], cfg["test_fraction"])
         train, val, test = D.split_dataset(samples, fractions, cfg["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    D.write_features(out / "features.bin", [s.features for s in samples])
+        out.mkdir(parents=True, exist_ok=True)
+        D.write_features(out / "features.bin", [s.features for s in samples])
     D.write_captions(out / "captions.jsonl", samples)
     split = {name: [s.features.image_id for s in part]
              for name, part in (("train", train), ("val", val), ("test", test))}
@@ -238,12 +236,40 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _train_stage(command: str, cfg: dict, state, started: str, train, source=None,
+                 **loop_keys) -> int:
+    """The tail both training commands share: the loop, the run, the manifest."""
+    out = Path(cfg["out_dir"])
+    with _config_values():
+        loop = tr.LoopConfig(batch_size=cfg["batch_size"], val_every=cfg["val_every"],
+                             val_beam=cfg["val_beam"], log_path=str(out / "train_log.jsonl"),
+                             ckpt_dir=str(out), **loop_keys)
+    if loop.val_beam > state.config.vocab_size:
+        raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
+                          f"{state.config.vocab_size}")
+    out.mkdir(parents=True, exist_ok=True)
+    start_step = state.step
+    result = train(loop)
+    checkpoints = {"last": str(out / "last.ckpt")}
+    if result["best"] is not None:
+        checkpoints["best"] = str(out / "best.ckpt")
+    if source is not None:
+        checkpoints["source"] = source
+    write_manifest(out / "manifest.json", command, cfg, state.seed, start_step,
+                   state.step, checkpoints, result["final_val"], [loop.log_path], started)
+    return EXIT_OK
+
+
 def cmd_train_xe(args) -> int:
     started = _now()
     cfg = parse_config(args.config, _TRAIN_XE_KEYS)
     splits = load_dataset(cfg["data_dir"])
-    vocab = build_vocab(D.caption_corpus(), cfg["vocab_size"])
-    model_cfg = _model_config(cfg, len(vocab.tokens), splits)
+    with _config_values():
+        vocab = build_vocab(D.caption_corpus(), cfg["vocab_size"])
+        # the model's input width is the width of the dataset's features
+        model_cfg = ModelConfig(vocab_size=len(vocab.tokens),
+                                feature_dim=splits["train"][0].features.grid.shape[1],
+                                **{k: cfg[k] for k in _MODEL_KEYS})
     best = None
     if args.resume:
         try:
@@ -252,40 +278,28 @@ def cmd_train_xe(args) -> int:
             raise DataError(f"cannot load checkpoint {args.resume}: {exc}") from exc
         if ckpt.stage != "xe":
             raise ConfigError(f"--resume expects an xe-stage checkpoint, got stage {ckpt.stage!r}")
-        _require_config_match(ckpt.config, model_cfg.to_dict(), args.resume)
+        want = model_cfg.to_dict()
+        diff = sorted(k for k in set(ckpt.config) | set(want) if ckpt.config.get(k) != want.get(k))
+        if diff:
+            raise ConfigError(f"checkpoint {args.resume} config disagrees with the given "
+                              f"config on: {', '.join(diff)}")
         if ckpt.seed != cfg["seed"]:
             raise ConfigError(f"checkpoint seed {ckpt.seed} != config seed {cfg['seed']}")
         state, vocab = tr.state_from_checkpoint(ckpt)
         best = ckpt.best
     else:
-        state = tr.TrainState.create(model_cfg, cfg["seed"], momentum=cfg["momentum"],
-                                     lambda_kd=cfg["lambda_kd"])
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    start_step = state.step
-    loop = tr.LoopConfig(steps=cfg["steps"], batch_size=cfg["batch_size"],
-                         warmup=cfg["warmup"], val_every=cfg["val_every"],
-                         val_beam=cfg["val_beam"], log_path=str(out / "train_log.jsonl"),
-                         ckpt_dir=str(out))
-    result = tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best)
-    checkpoints = {"last": str(out / "last.ckpt")}
-    if result["best"] is not None:
-        checkpoints["best"] = str(out / "best.ckpt")
-    write_manifest(out / "manifest.json", "train-xe", cfg, cfg["seed"], start_step,
-                   state.step, checkpoints, result["final_val"],
-                   [str(out / "train_log.jsonl")], started)
-    return EXIT_OK
-
-
-def _require_config_match(ckpt_config: dict, want: dict, path) -> None:
-    if ckpt_config != want:
-        diff = sorted(k for k in set(ckpt_config) | set(want)
-                      if ckpt_config.get(k) != want.get(k))
-        raise ConfigError(f"checkpoint {path} config disagrees with the given config "
-                          f"on: {', '.join(diff)}")
+        with _config_values():
+            state = tr.TrainState.create(model_cfg, cfg["seed"], momentum=cfg["momentum"],
+                                         lambda_kd=cfg["lambda_kd"])
+    return _train_stage(
+        "train-xe", cfg, state, started,
+        lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best),
+        source=args.resume, steps=cfg["steps"], warmup=cfg["warmup"])
 
 
 def cmd_train_scst(args) -> int:
+    """The model, vocabulary included, comes from the checkpoint; the config
+    holds only the stage's own keys."""
     started = _now()
     cfg = parse_config(args.config, _TRAIN_SCST_KEYS)
     splits = load_dataset(cfg["data_dir"])
@@ -293,15 +307,14 @@ def cmd_train_scst(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
-    vocab_probe = build_vocab(D.caption_corpus(), cfg["vocab_size"])
-    model_cfg = _model_config(cfg, len(vocab_probe.tokens), splits)
-    _require_config_match(ckpt.config, model_cfg.to_dict(), args.checkpoint)
     state, vocab = tr.state_from_checkpoint(ckpt)
-    try:
+    width = splits["train"][0].features.grid.shape[1]
+    if width != state.config.feature_dim:
+        raise DataError(f"{cfg['data_dir']} has {width}-wide features; "
+                        f"checkpoint {args.checkpoint} takes {state.config.feature_dim}")
+    with _config_values():
         scst = tr.ScstConfig(strategy=cfg["strategy"], beam_size=cfg["beam_size"],
                              learning_rate=cfg["learning_rate"], lambda_kd=cfg["lambda_kd"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if ckpt.stage == "xe":
         stage_start = ckpt.step
         tr.prepare_for_scst(state, scst)
@@ -314,21 +327,11 @@ def cmd_train_scst(args) -> int:
         best = ckpt.best
     else:
         raise ConfigError(f"unknown checkpoint stage {ckpt.stage!r}")
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    start_step = state.step
-    loop = tr.LoopConfig(steps=stage_start + cfg["steps"], batch_size=cfg["batch_size"],
-                         val_every=cfg["val_every"], val_beam=cfg["val_beam"],
-                         log_path=str(out / "train_log.jsonl"), ckpt_dir=str(out))
-    result = tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
-                           best=best, extra={"stage_start": stage_start})
-    checkpoints = {"last": str(out / "last.ckpt")}
-    if result["best"] is not None:
-        checkpoints["best"] = str(out / "best.ckpt")
-    write_manifest(out / "manifest.json", "train-scst", cfg, state.seed, start_step,
-                   state.step, checkpoints, result["final_val"],
-                   [str(out / "train_log.jsonl")], started)
-    return EXIT_OK
+    return _train_stage(
+        "train-scst", cfg, state, started,
+        lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
+                                   best=best, extra={"stage_start": stage_start}),
+        source=args.checkpoint, steps=stage_start + cfg["steps"])
 
 
 def cmd_caption(args) -> int:
@@ -344,10 +347,8 @@ def cmd_caption(args) -> int:
         raise ConfigError(f"--beam must be >= 1, got {args.beam}")
     rows = []
     for grid in grids:
-        try:
+        with _config_values():
             beam = caption_image(params, state.config, grid.grid, args.beam)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         top = beam[0]
         if not np.isfinite(top.logprob):
             raise tr.TrainingDiverged(state.step, {"image": grid.image_id,

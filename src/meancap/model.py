@@ -35,6 +35,13 @@ class ModelConfig:
     mesh_enabled: bool = False
 
     def __post_init__(self):
+        for name in ("model_dim", "num_heads", "num_encoder_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if self.max_length < 2:
+            raise ValueError(f"max_length must allow BOS plus one token, got {self.max_length}")
         if self.model_dim % self.num_heads != 0:
             raise ValueError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         if self.num_memory_slots < 0:

@@ -2,9 +2,10 @@
 
 The online model learns by gradient; the target model only ever moves as
 an exponential moving average of online states and is never part of any
-gradient graph.  Both stages share the optimizer, the keyed random
-streams, and the checkpoint format, so a resumed run replays the exact
-remaining trajectory of an uninterrupted one.
+gradient graph.  Both stages share the update step (``_update``), the
+stage loop (``_run_stage``), the keyed random streams, and the checkpoint
+format, so a resumed run replays the exact remaining trajectory of an
+uninterrupted one.
 """
 
 import json
@@ -82,7 +83,6 @@ class TrainState:
     momentum: float = 0.999
     lambda_kd: float = 0.1
     seed: int = 0
-    use_ema: bool = True
 
     def __post_init__(self):
         if set(self.online) != set(self.target):
@@ -92,7 +92,7 @@ class TrainState:
 
     @classmethod
     def create(cls, config: ModelConfig, seed: int, momentum: float = 0.999,
-               lambda_kd: float = 0.1, dtype=np.float32, use_ema: bool = True) -> "TrainState":
+               lambda_kd: float = 0.1, dtype=np.float32) -> "TrainState":
         online = init_params(config, seed, dtype)
         return cls(
             config=config,
@@ -103,12 +103,25 @@ class TrainState:
             momentum=momentum,
             lambda_kd=lambda_kd,
             seed=seed,
-            use_ema=use_ema,
         )
 
     def zero_grads(self) -> None:
         for p in self.online.values():
             p.zero_grad()
+
+
+def _update(state: TrainState, total: T.Tensor, lr: float, detail: dict) -> None:
+    """The mean-teacher update both stages end with: a gradient step on the
+    online model, then an EMA step of the target.  ``detail`` goes into the
+    error if the loss is not finite."""
+    if not np.isfinite(total.data):
+        raise TrainingDiverged(state.step + 1, detail)
+    state.zero_grads()
+    T.backward(total)
+    state.adam_t += 1
+    adam_update(state.online, state.m, state.v, state.adam_t, lr)
+    ema_update(state.target, state.online, state.momentum)
+    state.step += 1
 
 
 def sequence_ids(text: str, vocab: Vocabulary, max_length: int) -> list:
@@ -159,15 +172,7 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
                                      training=True, rng=rng_target)
         kd = T.masked_mse(logits_t, logits_o, mask)
         total = T.add(ce, T.scale(kd, state.lambda_kd))
-    if not np.isfinite(total.data):
-        raise TrainingDiverged(state.step + 1, {"xe_loss": float(total.data), "lr": lr})
-    state.zero_grads()
-    T.backward(total)
-    state.adam_t += 1
-    adam_update(state.online, state.m, state.v, state.adam_t, lr)
-    if state.use_ema:
-        ema_update(state.target, state.online, state.momentum)
-    state.step += 1
+    _update(state, total, lr, {"xe_loss": float(total.data), "lr": lr})
     return {"xe_loss": float(ce.data), "kd_loss": None if kd is None else float(kd.data)}
 
 
@@ -288,15 +293,7 @@ def scst_step(state: TrainState, batch, scst: ScstConfig, df: metrics.DocumentFr
         kd = distill_pair_logits([t for t, _ in pairs], [hyps[j] for j in partners],
                                  T.embedding(logits, partners))
         total = T.add(total, T.scale(kd, scst.lambda_kd))
-    if not np.isfinite(total.data):
-        raise TrainingDiverged(state.step + 1, {"scst_loss": float(total.data)})
-    state.zero_grads()
-    T.backward(total)
-    state.adam_t += 1
-    adam_update(state.online, state.m, state.v, state.adam_t, scst.learning_rate)
-    if state.use_ema:
-        ema_update(state.target, state.online, state.momentum)
-    state.step += 1
+    _update(state, total, scst.learning_rate, {"scst_loss": float(total.data)})
     return {
         "reward_mean": sum(top_rewards) / len(top_rewards),
         "baseline": sum(baselines) / len(baselines),
@@ -379,7 +376,6 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
         stage=stage,
         momentum=state.momentum,
         lambda_kd=state.lambda_kd,
-        use_ema=state.use_ema,
         groups={
             "online": {n: p.data for n, p in state.online.items()},
             "target": {n: p.data for n, p in state.target.items()},
@@ -406,7 +402,6 @@ def state_from_checkpoint(ckpt: Checkpoint):
         momentum=ckpt.momentum,
         lambda_kd=ckpt.lambda_kd,
         seed=ckpt.seed,
-        use_ema=ckpt.use_ema,
     )
     return state, vocab
 
@@ -419,29 +414,47 @@ def prepare_for_scst(state: TrainState, scst: ScstConfig) -> None:
     state.lambda_kd = scst.lambda_kd
 
 
-def _save_stage(state, vocab, stage, best, loop: LoopConfig, extra=None):
-    if loop.ckpt_dir is None:
-        return None
-    path = f"{loop.ckpt_dir}/last.ckpt"
-    save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best, extra))
-    return path
+def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabulary,
+               loop: LoopConfig, best: dict, extra: dict) -> dict:
+    """The loop both stages share, from state.step + 1 up to loop.steps.
 
+    ``step(number)`` makes one optimizer step and returns its log record
+    without "step".  Every ``loop.val_every`` steps and at the end both
+    models are scored on held-out data, and each new best target score is
+    saved as ``best.ckpt``; ``last.ckpt`` is saved once the loop is done.
+    """
+    def save(name):
+        if loop.ckpt_dir is None:
+            return None
+        path = f"{loop.ckpt_dir}/{name}"
+        save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best, extra))
+        return path
 
-def _maybe_validate(state, vocab, val_samples, loop: LoopConfig, stage, best,
-                    log_fh, val_df, extra=None):
-    """Score both models on held-out data; keep the best target checkpoint."""
-    online = validate_cider(state.online, state.config, val_samples, vocab,
-                            loop.val_beam, val_df)
-    target = validate_cider(state.target, state.config, val_samples, vocab,
-                            loop.val_beam, val_df)
-    _append_log(log_fh, {"event": "val", "step": state.step,
-                         "val_cider_online": online, "val_cider_target": target})
-    if best is None or target > best["cider_target"]:
-        best = {"step": state.step, "cider_target": target, "cider_online": online}
-        if loop.ckpt_dir is not None:
-            save_checkpoint(f"{loop.ckpt_dir}/best.ckpt",
-                            state_to_checkpoint(state, vocab, stage, best, extra))
-    return best, {"online": online, "target": target}
+    val_df = (metrics.DocumentFrequency([s.references for s in val_samples])
+              if val_samples else None)
+    log_fh = open(loop.log_path, "a") if loop.log_path else None
+    scores = None
+    try:
+        while state.step < loop.steps:
+            record = step(state.step + 1)
+            _append_log(log_fh, {"step": state.step, **record})
+            at_end = state.step == loop.steps
+            if val_samples and loop.val_every and (state.step % loop.val_every == 0 or at_end):
+                scores = {name: validate_cider(params, state.config, val_samples, vocab,
+                                               loop.val_beam, val_df)
+                          for name, params in (("online", state.online), ("target", state.target))}
+                _append_log(log_fh, {"event": "val", "step": state.step,
+                                     "val_cider_online": scores["online"],
+                                     "val_cider_target": scores["target"]})
+                if best is None or scores["target"] > best["cider_target"]:
+                    best = {"step": state.step, "cider_target": scores["target"],
+                            "cider_online": scores["online"]}
+                    save("best.ckpt")
+        last_path = save("last.ckpt")
+    finally:
+        if log_fh is not None:
+            log_fh.close()
+    return {"state": state, "best": best, "last_path": last_path, "final_val": scores}
 
 
 def train_xe(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
@@ -451,34 +464,18 @@ def train_xe(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
         raise ValueError("no training samples")
     rng_online = KeyedRng(state.seed, ROLE_ONLINE)
     rng_target = KeyedRng(state.seed, ROLE_TARGET)
-    val_df = (metrics.DocumentFrequency([s.references for s in val_samples])
-              if val_samples else None)
-    log_fh = open(loop.log_path, "a") if loop.log_path else None
-    scores = None
-    try:
-        while state.step < loop.steps:
-            step = state.step + 1
-            picks = _select_batch(train_samples, loop.batch_size, state.seed, step)
-            batch = [(s.features.grid, sequence_ids(ref, vocab, state.config.max_length))
-                     for s, ref in picks]
-            rng_online.begin_step(step)
-            rng_target.begin_step(step)
-            lr = noam_lr(state.adam_t + 1, state.config.model_dim, loop.warmup)
-            report = xe_step(state, batch, lr, rng_online, rng_target)
-            _append_log(log_fh, {"step": state.step, "lr": lr,
-                                 "xe_loss": report["xe_loss"],
-                                 "kd_loss": report["kd_loss"],
-                                 "reward_mean": None, "baseline": None})
-            at_end = state.step == loop.steps
-            if val_samples and loop.val_every and (state.step % loop.val_every == 0 or at_end):
-                best, scores = _maybe_validate(state, vocab, val_samples, loop,
-                                               "xe", best, log_fh, val_df)
-        last_path = _save_stage(state, vocab, "xe", best, loop)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    return {"state": state, "best": best, "last_path": last_path,
-            "final_val": scores}
+
+    def step(number):
+        picks = _select_batch(train_samples, loop.batch_size, state.seed, number)
+        batch = [(s.features.grid, sequence_ids(ref, vocab, state.config.max_length))
+                 for s, ref in picks]
+        rng_online.begin_step(number)
+        rng_target.begin_step(number)
+        lr = noam_lr(state.adam_t + 1, state.config.model_dim, loop.warmup)
+        report = xe_step(state, batch, lr, rng_online, rng_target)
+        return {"lr": lr, "reward_mean": None, "baseline": None, **report}
+
+    return _run_stage(state, "xe", step, val_samples, vocab, loop, best, None)
 
 
 def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
@@ -492,28 +489,11 @@ def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
     embedder = BagEmbedder.from_corpus(
         [tokenize(r, vocab).ids for s in train_samples for r in s.references],
         len(vocab.tokens))
-    val_df = (metrics.DocumentFrequency([s.references for s in val_samples])
-              if val_samples else None)
-    log_fh = open(loop.log_path, "a") if loop.log_path else None
-    scores = None
-    try:
-        while state.step < loop.steps:
-            step = state.step + 1
-            batch = [(s.features.grid, s.references)
-                     for s in _select_images(train_samples, loop.batch_size,
-                                             state.seed, step)]
-            report = scst_step(state, batch, scst, df, vocab, embedder)
-            _append_log(log_fh, {"step": state.step, "lr": scst.learning_rate,
-                                 "xe_loss": None, "kd_loss": report["kd_loss"],
-                                 "reward_mean": report["reward_mean"],
-                                 "baseline": report["baseline"]})
-            at_end = state.step == loop.steps
-            if val_samples and loop.val_every and (state.step % loop.val_every == 0 or at_end):
-                best, scores = _maybe_validate(state, vocab, val_samples, loop,
-                                               "scst", best, log_fh, val_df, extra)
-        last_path = _save_stage(state, vocab, "scst", best, loop, extra)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    return {"state": state, "best": best, "last_path": last_path,
-            "final_val": scores}
+
+    def step(number):
+        batch = [(s.features.grid, s.references)
+                 for s in _select_images(train_samples, loop.batch_size, state.seed, number)]
+        report = scst_step(state, batch, scst, df, vocab, embedder)
+        return {"lr": scst.learning_rate, "xe_loss": None, **report}
+
+    return _run_stage(state, "scst", step, val_samples, vocab, loop, best, extra)

@@ -413,7 +413,7 @@ def test_07_equal_rewards_produce_exactly_zero_update():
 def test_08_inert_distillation_collapses_to_single_model_training():
     samples, vocab, cfg = tiny_setup(num_images=8)
     seed, steps, bs, warmup = 11, 5, 3, 50
-    state = tr.TrainState.create(cfg, seed, lambda_kd=0.0, use_ema=False)
+    state = tr.TrainState.create(cfg, seed, lambda_kd=0.0, momentum=1.0)
     tr.train_xe(state, samples, [], vocab,
                 tr.LoopConfig(steps=steps, batch_size=bs, warmup=warmup))
     ref_params, ref_losses = plain_xe_loop(samples, vocab, cfg, seed, steps, bs, warmup)

@@ -1,10 +1,14 @@
 """Checkpoint container: bit-exact round trips and corruption detection."""
 
+import json
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from meancap import checkpoint
 from meancap.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint,
                                 load_checkpoint, save_checkpoint)
 
@@ -32,7 +36,6 @@ def _make_checkpoint(rng):
         stage="xe",
         momentum=0.999,
         lambda_kd=0.1,
-        use_ema=True,
         groups=groups,
         best={"step": 10, "cider_target": 0.5},
         extra={"stage_start": 0},
@@ -50,7 +53,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert back.vocab_tokens == ckpt.vocab_tokens
     assert back.vocab_merges == ckpt.vocab_merges
     assert (back.step, back.adam_t, back.seed) == (17, 12, 5)
-    assert (back.stage, back.momentum, back.lambda_kd, back.use_ema) == ("xe", 0.999, 0.1, True)
+    assert (back.stage, back.momentum, back.lambda_kd) == ("xe", 0.999, 0.1)
     assert back.best == ckpt.best
     assert back.extra == ckpt.extra
     assert set(back.groups) == set(ckpt.groups)
@@ -111,6 +114,45 @@ def test_truncated_file(tmp_path):
     path.write_bytes(blob[:5])
     with pytest.raises(ValueError, match="short"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(path, _make_checkpoint(np.random.default_rng(6)))
+    before = path.read_bytes()
+
+    class BrokenZlib:
+        @staticmethod
+        def crc32(data):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "zlib", BrokenZlib)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _make_checkpoint(np.random.default_rng(7)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).step == 17
+    assert os.listdir(tmp_path) == ["last.ckpt"]  # no temporary file left behind
+
+
+def test_header_with_retired_use_ema_key_loads(tmp_path):
+    """Checkpoints written while the header still carried "use_ema" load."""
+    path = tmp_path / "old.ckpt"
+    ckpt = _make_checkpoint(np.random.default_rng(8))
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    _, _, head_len = struct.unpack_from("<4sHI", blob, 0)
+    header = json.loads(blob[10:10 + head_len])
+    header["use_ema"] = True
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = head + blob[10 + head_len:-4]
+    path.write_bytes(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head))
+                     + payload + struct.pack("<I", zlib.crc32(payload)))
+    back = load_checkpoint(path)
+    assert (back.step, back.momentum, back.extra) == (17, 0.999, ckpt.extra)
+    for group in ckpt.groups:
+        for name, arr in ckpt.groups[group].items():
+            assert back.groups[group][name].tobytes() == arr.tobytes()
 
 
 def test_magic_constant():

@@ -124,10 +124,12 @@ def test_train_scst_runs_and_continues_step_count(overfit_run, tmp_path, capsys)
     scst_cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
                          out_dir=str(tmp_path / "scst"), steps=5, batch_size=4,
                          strategy="all", beam_size=3, learning_rate=1e-4,
-                         lambda_kd=0.1, val_every=5, val_beam=3, **TINY_MODEL)
-    assert cli.main(["train-scst", scst_cfg, str(overfit_run / "xe" / "last.ckpt")]) == 0
+                         lambda_kd=0.1, val_every=5, val_beam=3)
+    source = str(overfit_run / "xe" / "last.ckpt")
+    assert cli.main(["train-scst", scst_cfg, source]) == 0
     m = read_manifest(tmp_path / "scst" / "manifest.json")
     assert (m["start_step"], m["end_step"]) == (400, 405)
+    assert m["checkpoints"]["source"] == source
     assert m["final_validation"] is not None
     ckpt = load_checkpoint(tmp_path / "scst" / "last.ckpt")
     assert ckpt.stage == "scst" and ckpt.extra["stage_start"] == 400
@@ -139,7 +141,7 @@ def test_train_scst_rejects_scst_checkpoint_without_stage_start(overfit_run, tmp
     path = tmp_path / "scst.ckpt"
     save_checkpoint(path, ckpt)
     cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
-                    out_dir=str(tmp_path / "scst"), steps=1, **TINY_MODEL)
+                    out_dir=str(tmp_path / "scst"), steps=1)
     assert cli.main(["train-scst", cfg, str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "data" and "stage_start" in err["detail"]
@@ -155,13 +157,50 @@ def test_train_xe_takes_feature_dim_from_the_data(tmp_path):
     assert load_checkpoint(tmp_path / "xe" / "last.ckpt").config["feature_dim"] == 16
 
 
-def test_train_scst_refuses_mismatched_config(overfit_run, tmp_path, capsys):
-    wrong = dict(TINY_MODEL, model_dim=16, feedforward_dim=32)
+def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, capsys):
+    ckpt = str(overfit_run / "xe" / "last.ckpt")
     cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
-                    out_dir=str(tmp_path / "scst"), steps=2, **wrong)
-    assert cli.main(["train-scst", cfg, str(overfit_run / "xe" / "last.ckpt")]) == 2
+                    out_dir=str(tmp_path / "scst"), steps=2, model_dim=32)
+    assert cli.main(["train-scst", cfg, ckpt]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config" and "model_dim" in err["detail"]
+    assert err["error"] == "config" and "unknown key 'model_dim'" in err["detail"]
+
+    narrow = tmp_path / "narrow"
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(narrow),
+                                           feature_dim=16, **GEN)]) == 0
+    cfg = write_cfg(tmp_path / "scst2.cfg", data_dir=str(narrow),
+                    out_dir=str(tmp_path / "scst2"), steps=2)
+    assert cli.main(["train-scst", cfg, ckpt]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "data" and "16-wide" in err["detail"]
+    assert not (tmp_path / "scst2").exists()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("train-xe", dict(warmup=0)),
+    ("train-xe", dict(batch_size=0)),
+    ("train-xe", dict(steps=-1)),
+    ("train-xe", dict(val_beam=0)),
+    ("train-xe", dict(momentum=1.5)),
+    ("train-xe", dict(vocab_size=3)),
+    ("train-xe", dict(num_heads=0)),
+    ("train-xe", dict(model_dim=0)),
+    ("train-xe", dict(num_encoder_layers=0)),
+    ("train-xe", dict(dropout_rate=1.0)),
+    ("train-xe", dict(dropout_rate=-0.5)),
+    ("train-xe", dict(max_length=1)),
+    ("train-xe", dict(val_beam=1000, val_every=1)),
+    ("gen-data", dict(num_images=0)),
+], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
+def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, command, values):
+    if command == "gen-data":
+        kv = dict(GEN, out_dir=str(tmp_path / "data"))
+    else:
+        kv = dict(TINY_MODEL, seed=1, data_dir=str(overfit_run / "data"),
+                  out_dir=str(tmp_path / "xe"), steps=2, batch_size=4)
+    cfg = write_cfg(tmp_path / "run.cfg", **dict(kv, **values))
+    assert cli.main([command, cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
@@ -243,7 +282,9 @@ def test_train_xe_reproducible_and_resumable(tmp_path):
     a = xe("a", 12)
     a2 = xe("a2", 12)
     b = xe("b", 6)
+    assert "source" not in read_manifest(b / "manifest.json")["checkpoints"]
     xe("b", 12, resume=str(b / "last.ckpt"))
+    assert read_manifest(b / "manifest.json")["checkpoints"]["source"] == str(b / "last.ckpt")
 
     for other in (a2, b):
         assert (a / "last.ckpt").read_bytes() == (other / "last.ckpt").read_bytes()

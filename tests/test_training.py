@@ -1,5 +1,7 @@
 """Twin-model training: EMA algebra, stop-gradients, SCST mechanics, resume."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -530,6 +532,25 @@ def test_scst_resume_is_bitwise_identical(tmp_path):
 
     assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
     assert _read_log(a / "log.jsonl") == _read_log(b / "log.jsonl")
+
+
+def test_both_stages_log_the_same_record_keys(tmp_path):
+    samples, vocab, cfg = tiny_setup(num_images=8)
+    train, val = samples[:6], samples[6:]
+    log = tmp_path / "log.jsonl"
+    state = tr.TrainState.create(cfg, seed=23)
+    tr.train_xe(state, train, val, vocab,
+                tr.LoopConfig(steps=2, batch_size=3, warmup=50, log_path=str(log)))
+    scst = tr.ScstConfig(beam_size=3, learning_rate=1e-4)
+    tr.prepare_for_scst(state, scst)
+    tr.train_scst(state, train, val, vocab, scst,
+                  tr.LoopConfig(steps=4, batch_size=2, log_path=str(log)))
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["step"] for r in records] == [1, 2, 3, 4]
+    keys = {"step", "lr", "xe_loss", "kd_loss", "reward_mean", "baseline"}
+    assert all(set(r) == keys for r in records)
+    assert [r["xe_loss"] is None for r in records] == [False, False, True, True]
+    assert [r["reward_mean"] is None for r in records] == [True, True, False, False]
 
 
 def test_prepare_for_scst_resets_optimizer():
