@@ -8,7 +8,7 @@ pairing a training step produces is reproducible down to tie order.
 
 import numpy as np
 
-from .tokenizer import BOS_ID, EOS_ID, PAD_ID, TokenSequence
+from .tokenizer import BOS_ID, EOS_ID, PAD_ID
 
 
 def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
@@ -146,8 +146,7 @@ class BagEmbedder:
         return vec / norm
 
 
-def _content_ids(seq):
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
+def _content_ids(ids):
     return [t for t in ids if t not in (PAD_ID, BOS_ID, EOS_ID)]
 
 

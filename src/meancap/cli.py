@@ -283,8 +283,11 @@ def cmd_train_xe(args) -> int:
         if diff:
             raise ConfigError(f"checkpoint {args.resume} config disagrees with the given "
                               f"config on: {', '.join(diff)}")
-        if ckpt.seed != cfg["seed"]:
-            raise ConfigError(f"checkpoint seed {ckpt.seed} != config seed {cfg['seed']}")
+        # the state comes from the checkpoint, so a config that asks for
+        # other training values would be silently ignored
+        for key in ("seed", "momentum", "lambda_kd"):
+            if getattr(ckpt, key) != cfg[key]:
+                raise ConfigError(f"checkpoint {key} {getattr(ckpt, key)} != config {key} {cfg[key]}")
         state, vocab = tr.state_from_checkpoint(ckpt)
         best = ckpt.best
     else:

@@ -72,10 +72,6 @@ def projection_matrix(feature_dim: int) -> np.ndarray:
     return rng.standard_normal((width, feature_dim)) / np.sqrt(width)
 
 
-def pair_embedding(color: str, obj: str, feature_dim: int) -> np.ndarray:
-    return pair_code(color, obj) @ projection_matrix(feature_dim)
-
-
 def _pairs_phrase(pairs) -> str:
     chunks = [f"a {c} {o}" for c, o in pairs]
     if len(chunks) == 1:
@@ -86,16 +82,6 @@ def _pairs_phrase(pairs) -> str:
 def render_reference(pairs, order, template_index: int) -> str:
     ordered = [pairs[i] for i in order]
     return TEMPLATES[template_index].format(pairs=_pairs_phrase(ordered))
-
-
-def parse_reference(text: str):
-    """Invert the template grammar: every color followed by an object is a pair."""
-    words = text.replace(",", " ").split()
-    pairs = []
-    for w, nxt in zip(words, words[1:]):
-        if w in COLORS and nxt in OBJECTS:
-            pairs.append((w, nxt))
-    return sorted(pairs)
 
 
 def caption_corpus() -> list:

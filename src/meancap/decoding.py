@@ -1,4 +1,4 @@
-"""Beam search and greedy decoding over a pluggable expansion function.
+"""Beam search over a pluggable expansion function.
 
 ``expand`` maps a list of prefixes to a (B, N) array of next-token logits;
 anything that honors that contract can be decoded, which is what the
@@ -28,13 +28,8 @@ class Hypothesis:
         """Log-probability recomputed from the retained per-step logits."""
         total = 0.0
         for row, tok in zip(self.logits, self.ids[1:]):
-            total += float(_log_softmax(row)[tok])
+            total += float(T._row_log_softmax(row)[tok])
         return total
-
-
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
 
 
 def beam_search(expand, k: int, max_length: int) -> list:
@@ -61,7 +56,7 @@ def beam_search(expand, k: int, max_length: int) -> list:
                 candidates.append((-h.logprob, -1, idx, h))
                 continue
             row = rows[next(live_iter)]
-            logp = _log_softmax(row)
+            logp = T._row_log_softmax(row)
             # a single hypothesis can propose at most every token; the beam
             # itself may be wider than the vocabulary (enumeration regime)
             best = (-logp).argsort(kind="stable")[:min(k, len(logp))]
@@ -75,24 +70,12 @@ def beam_search(expand, k: int, max_length: int) -> list:
     return beam
 
 
-def greedy(expand, max_length: int) -> Hypothesis:
-    """Argmax decoding; argmax takes the lowest token id on exact ties."""
-    h = Hypothesis([BOS_ID], 0.0)
-    while not h.finished and len(h.ids) < max_length:
-        row = np.asarray(expand([h.ids]))[0]
-        logp = _log_softmax(row)
-        tok = int(np.argmax(logp))
-        h = Hypothesis(h.ids + [tok], h.logprob + float(logp[tok]),
-                       h.logits + [row], tok == EOS_ID)
-    return h
-
-
 # ---------------------------------------------------------------------------
 # model-backed expansion
 # ---------------------------------------------------------------------------
 
 
-def model_expander(params, config, encoder_layers, gate_override=None):
+def model_expander(params, config, encoder_layers):
     """Gradient-free expansion via full re-decoding; simple, used as the
     reference implementation for the cached decoder's equivalence tests."""
 
@@ -100,8 +83,7 @@ def model_expander(params, config, encoder_layers, gate_override=None):
         out = []
         with T.no_grad():
             for ids in prefixes:
-                logits = decode_step(ids, encoder_layers, params, config,
-                                     gate_override=gate_override)
+                logits = decode_step(ids, encoder_layers, params, config)
                 out.append(logits.data[0])
         return np.stack(out)
 

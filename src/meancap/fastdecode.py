@@ -21,16 +21,12 @@ from .tokenizer import BOS_ID
 
 
 class FastDecoder:
-    def __init__(self, params, config: ModelConfig, encoder_layers, gate_override=None):
+    def __init__(self, params, config: ModelConfig, encoder_layers):
         self.params = params
         self.config = config
         self.encoder_layers = encoder_layers
-        self.gate_override = gate_override
         # prefix tuple -> (per-layer self-attention rows (t, d), logits row)
         self._cache = {}
-
-    def logits_for(self, prefix) -> np.ndarray:
-        return self.expand([prefix])[0]
 
     def expand(self, prefixes) -> np.ndarray:
         prefixes = [tuple(p) for p in prefixes]
@@ -59,7 +55,6 @@ class FastDecoder:
         mask = np.where(owner == ids[:, None], 0.0, NEG_INF).astype(self.params["embed.tokens"].dtype)
         with T.no_grad():
             logits, rows = decode_layers([p[-1] for p in prefixes], lengths, self.encoder_layers,
-                                         self.params, self.config, T.Tensor(mask), past=past,
-                                         gate_override=self.gate_override)
+                                         self.params, self.config, T.Tensor(mask), past=past)
         for i, p in enumerate(prefixes):
             self._cache[p] = ([layer.data[owner == i] for layer in rows], logits.data[i])

@@ -230,24 +230,21 @@ def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
     return outputs
 
 
-def _cross_attend(x, encoder_layers, params, j, config, gate_override):
+def _cross_attend(x, encoder_layers, params, j, config):
     if not config.mesh_enabled:
         return _attention(x, encoder_layers[-1], params, f"dec{j}.cross", config)
     num_enc = len(encoder_layers)
     combined = None
     for l, enc_out in enumerate(encoder_layers):
         c = _attention(x, enc_out, params, f"dec{j}.cross", config)
-        if gate_override is not None:
-            gated = T.scale(c, float(gate_override[l]))
-        else:
-            gate = T.sigmoid(_linear(x, params, f"dec{j}.mesh{l}.gate"))
-            gated = T.mul(gate, c)
+        gate = T.sigmoid(_linear(x, params, f"dec{j}.mesh{l}.gate"))
+        gated = T.mul(gate, c)
         combined = gated if combined is None else T.add(combined, gated)
     return T.scale(combined, 1.0 / num_enc)
 
 
 def decode_layers(token_ids, positions, encoder_layers, params, config: ModelConfig, mask,
-                  past=None, training=False, rng=None, gate_override=None):
+                  past=None, training=False, rng=None):
     """Run the decoder layers on new rows; returns (logits, per-layer rows).
 
     Row i embeds ``token_ids[..., i]`` at position ``positions[i]``; leading
@@ -273,14 +270,14 @@ def decode_layers(token_ids, positions, encoder_layers, params, config: ModelCon
         rows.append(kv)
         attn = _attention(x, kv, params, f"dec{j}.self", config, mask=mask)
         x = _sublayer(x, attn, params, f"dec{j}.norm1", config, training, rng)
-        cross = _cross_attend(x, encoder_layers, params, j, config, gate_override)
+        cross = _cross_attend(x, encoder_layers, params, j, config)
         x = _sublayer(x, cross, params, f"dec{j}.norm2", config, training, rng)
         x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, training, rng)
     return _linear(x, params, "output"), rows
 
 
 def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
-                  training=False, rng=None, gate_override=None) -> T.Tensor:
+                  training=False, rng=None) -> T.Tensor:
     """Teacher-forced logits (T, N): row t scores the token following position t.
 
     ``token_ids`` is one BOS-led sequence (T,) or a batch (B, T) of them,
@@ -294,14 +291,13 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
     t = token_ids.shape[-1]
     mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
     logits, _ = decode_layers(token_ids, np.arange(t), encoder_layers, params, config, mask,
-                              training=training, rng=rng, gate_override=gate_override)
+                              training=training, rng=rng)
     return logits
 
 
-def decode_step(prefix_ids, encoder_layers, params, config: ModelConfig,
-                gate_override=None) -> T.Tensor:
-    """Next-token logits (N,) for a BOS-led prefix; evaluation mode."""
+def decode_step(prefix_ids, encoder_layers, params, config: ModelConfig) -> T.Tensor:
+    """Next-token logits, one (1, N) row, for a BOS-led prefix; evaluation mode."""
     if len(prefix_ids) >= config.max_length:
         raise ValueError(f"prefix length {len(prefix_ids)} must stay under max_length {config.max_length}")
-    logits = decode_logits(prefix_ids, encoder_layers, params, config, gate_override=gate_override)
-    return T.slice_rows(logits, logits.shape[0] - 1, logits.shape[0])
+    logits = decode_logits(prefix_ids, encoder_layers, params, config)
+    return T.embedding(logits, [logits.shape[0] - 1])

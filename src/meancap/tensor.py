@@ -31,10 +31,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A value node in the autodiff graph.
 
@@ -168,18 +164,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    return _result(out, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -201,27 +185,6 @@ def scale(a: Tensor, c: float) -> Tensor:
             a.accumulate_grad(g * c)
 
     return _result(out, (a,), bw)
-
-
-def add_n(tensors) -> Tensor:
-    """Elementwise sum of same-shape tensors (batch loss aggregation)."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("add_n needs at least one tensor")
-    first = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != first:
-            raise ValueError(f"add_n shape mismatch: {first} vs {t.data.shape}")
-    out = tensors[0].data.copy()
-    for t in tensors[1:]:
-        out += t.data
-
-    def bw(g):
-        for t in tensors:
-            if t.requires_grad:
-                t.accumulate_grad(g)
-
-    return _result(out, tuple(tensors), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -290,19 +253,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along axis 0."""
-    out = a.data[start:stop]
-
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a.accumulate_grad(full)
-
-    return _result(out, (a,), bw)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: out[i] = table[ids[i]]."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -355,20 +305,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         if a.requires_grad:
             dot = (g * out).sum(axis=axis, keepdims=True)
             a.accumulate_grad(out * (g - dot))
-
-    return _result(out, (a,), bw)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def bw(g):
-        if a.requires_grad:
-            p = np.exp(out)
-            a.accumulate_grad(g - p * g.sum(axis=axis, keepdims=True))
 
     return _result(out, (a,), bw)
 
@@ -436,17 +372,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _result(out, (a,), bw)
-
-
 def _prepare_targets(logits: Tensor, target_ids, mask):
     """Validate (..., T) targets and mask against (..., T, N) logits; also
     return each row's log-softmax and the entries picked by the targets."""
@@ -465,6 +390,8 @@ def _prepare_targets(logits: Tensor, target_ids, mask):
 
 
 def _row_log_softmax(data: np.ndarray):
+    """Log-softmax over the last axis of a plain array, no graph; beam
+    search scores its expansions with it too."""
     m = data.max(axis=-1, keepdims=True)
     shifted = data - m
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -1,4 +1,4 @@
-"""Subword vocabulary built by greedy pair merging.
+"""Subword vocabulary built by merging frequent adjacent symbol pairs.
 
 Words are split on whitespace; the final character of each word carries a
 word-end marker so decoding can restore spaces exactly.  Merge learning is

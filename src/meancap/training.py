@@ -358,6 +358,23 @@ def validate_cider(params, config: ModelConfig, samples, vocab: Vocabulary,
     return metrics.cider_d(candidates, references, df).value
 
 
+def _open_log(path, step: int):
+    """Open the log for appending, first cutting it at its first record
+    past ``step``: a run resumed from an older checkpoint logs those steps
+    again, and a torn last line from a crash is dropped the same way."""
+    if not path:
+        return None
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        kept = 0
+        for line in fh:
+            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                fh.truncate(kept)
+                break
+            kept += len(line)
+    return open(path, "a")
+
+
 def _append_log(fh, record: dict) -> None:
     if fh is not None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -432,7 +449,7 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
 
     val_df = (metrics.DocumentFrequency([s.references for s in val_samples])
               if val_samples else None)
-    log_fh = open(loop.log_path, "a") if loop.log_path else None
+    log_fh = _open_log(loop.log_path, state.step)
     scores = None
     try:
         while state.step < loop.steps:

@@ -155,5 +155,29 @@ def test_header_with_retired_use_ema_key_loads(tmp_path):
             assert back.groups[group][name].tobytes() == arr.tobytes()
 
 
+def corrupted_copies(blob: bytes):
+    """Every truncation of ``blob``, then every byte flipped three ways."""
+    for n in range(len(blob)):
+        yield blob[:n]
+    for i in range(len(blob)):
+        for mask in (0x01, 0x80, 0xFF):
+            bad = bytearray(blob)
+            bad[i] ^= mask
+            yield bytes(bad)
+
+
+def test_every_truncation_and_byte_flip_raises_value_error(tmp_path):
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, _make_checkpoint(np.random.default_rng(9)))
+    bad = tmp_path / "bad.ckpt"
+    cases = 0
+    for corrupt in corrupted_copies(path.read_bytes()):
+        bad.write_bytes(corrupt)
+        with pytest.raises(ValueError):
+            load_checkpoint(bad)
+        cases += 1
+    assert cases == 4 * path.stat().st_size
+
+
 def test_magic_constant():
     assert CHECKPOINT_MAGIC == b"CMLC" and len(CHECKPOINT_MAGIC) == 4

@@ -300,6 +300,22 @@ def test_resume_refuses_wrong_stage_or_seed(overfit_run, tmp_path, capsys):
     assert "seed" in json.loads(capsys.readouterr().err)["detail"]
 
 
+@pytest.mark.parametrize("key, value", [("momentum", 0.5), ("lambda_kd", 0.0)])
+def test_resume_refuses_other_momentum_or_lambda_kd(overfit_run, tmp_path, capsys, key, value):
+    def cfg(steps, **over):
+        return write_cfg(tmp_path / f"xe_{steps}.cfg", seed=3, data_dir=str(overfit_run / "data"),
+                         out_dir=str(tmp_path / "xe"), steps=steps, batch_size=4, warmup=50,
+                         **TINY_MODEL, **over)
+
+    assert cli.main(["train-xe", cfg(2)]) == 0
+    capsys.readouterr()
+    last = tmp_path / "xe" / "last.ckpt"
+    assert cli.main(["train-xe", cfg(4, **{key: value}), "--resume", str(last)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and key in err["detail"]
+    assert load_checkpoint(last).step == 2
+
+
 def test_config_parser_details(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("seed = 1  # comment\n\nout_dir = plain/path\n")

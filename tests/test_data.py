@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from meancap import data
+from test_checkpoint import corrupted_copies
 
 
 def grids_equal(a, b):
     return a.image_id == b.image_id and np.array_equal(a.grid, b.grid)
+
+
+def parse_reference(text):
+    """Invert the template grammar: every color followed by an object is a pair."""
+    words = text.replace(",", " ").split()
+    pairs = []
+    for w, nxt in zip(words, words[1:]):
+        if w in data.COLORS and nxt in data.OBJECTS:
+            pairs.append((w, nxt))
+    return sorted(pairs)
 
 
 def test_same_seed_is_bit_identical():
@@ -29,10 +40,10 @@ def test_noise_free_single_pair_matches_fixed_embedding():
         seed=3, num_images=6, objects_per_image=1, noise_sigma=0.0, feature_dim=16
     )
     for s in samples:
-        pairs = data.parse_reference(s.references[0])
+        pairs = parse_reference(s.references[0])
         assert len(pairs) == 1
         color, obj = pairs[0]
-        expect = data.pair_embedding(color, obj, 16).astype(np.float32)
+        expect = (data.pair_code(color, obj) @ data.projection_matrix(16)).astype(np.float32)
         np.testing.assert_array_equal(s.features.grid[0], expect)
         np.testing.assert_array_equal(s.features.grid[1:], 0.0)
 
@@ -40,7 +51,7 @@ def test_noise_free_single_pair_matches_fixed_embedding():
 def test_references_parse_back_to_the_scene_multiset():
     samples = data.generate_synthetic_dataset(seed=11, num_images=30, objects_per_image=(1, 5), grid_size=6)
     for s in samples:
-        scenes = [data.parse_reference(r) for r in s.references]
+        scenes = [parse_reference(r) for r in s.references]
         assert all(sc == scenes[0] for sc in scenes)  # all refs describe one scene
         assert 1 <= len(scenes[0]) <= 5
 
@@ -114,6 +125,20 @@ def test_corrupt_magic_and_checksum_detected(tmp_path):
     bad_crc.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="checksum"):
         data.read_features(bad_crc)
+
+
+def test_every_truncation_and_byte_flip_raises_value_error(tmp_path):
+    path = tmp_path / "feat.bin"
+    data.write_features(path, [data.FeatureGrid(i, np.full((2, 3), i, dtype=np.float32))
+                               for i in range(3)])
+    bad = tmp_path / "bad.bin"
+    cases = 0
+    for corrupt in corrupted_copies(path.read_bytes()):
+        bad.write_bytes(corrupt)
+        with pytest.raises(ValueError):
+            data.read_features(bad)
+        cases += 1
+    assert cases == 4 * path.stat().st_size
 
 
 def test_captions_round_trip(tmp_path):

@@ -24,6 +24,25 @@ def rand_grid(rng, config, g=5):
     return rng.standard_normal((g, config.feature_dim))
 
 
+def pin_gates_to_last_layer(params, config):
+    """Set mesh parameters so the gated decoder computes the plain one.
+
+    Every gate reads a zero weight and a bias of -30, or +30 for the last
+    encoder layer, so the sigmoids sit at 0 and 1 to within 1e-13; scaling
+    the shared cross-attention output projection by the number of encoder
+    layers undoes the mean over layers.  Returns ``params``, changed in place.
+    """
+    num_enc = config.num_encoder_layers
+    for j in range(config.num_decoder_layers):
+        for l in range(num_enc):
+            params[f"dec{j}.mesh{l}.gate.weight"].data[:] = 0.0
+            params[f"dec{j}.mesh{l}.gate.bias"].data[:] = 30.0 if l == num_enc - 1 else -30.0
+        for part in ("weight", "bias"):
+            wo = params[f"dec{j}.cross.wo.{part}"]
+            wo.data = wo.data * num_enc
+    return params
+
+
 # --- parameter contracts ----------------------------------------------------
 
 
@@ -205,9 +224,8 @@ def test_mesh_pinned_to_last_layer_matches_plain():
     grid = rand_grid(rng, plain_cfg)
     ids = [BOS_ID, 4, 7, 5]
     want = mdl.decode_logits(ids, mdl.encode(grid, plain, plain_cfg), plain, plain_cfg).data
-    pin = [0.0] * (mesh_cfg.num_encoder_layers - 1) + [float(mesh_cfg.num_encoder_layers)]
-    got = mdl.decode_logits(ids, mdl.encode(grid, mesh, mesh_cfg), mesh, mesh_cfg,
-                            gate_override=pin).data
+    pin_gates_to_last_layer(mesh, mesh_cfg)
+    got = mdl.decode_logits(ids, mdl.encode(grid, mesh, mesh_cfg), mesh, mesh_cfg).data
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -217,8 +235,8 @@ def test_mesh_gates_actually_mix_layers():
     params = make(cfg, seed=11)
     enc, ids = enc_and_ids(rng, cfg, params)
     gated = mdl.decode_logits(ids, enc, params, cfg).data
-    pinned = mdl.decode_logits(ids, enc, params, cfg,
-                               gate_override=[0.0, float(cfg.num_encoder_layers)]).data
+    pinned_params = pin_gates_to_last_layer(mdl.copy_params(params), cfg)
+    pinned = mdl.decode_logits(ids, enc, pinned_params, cfg).data
     assert not np.allclose(gated, pinned, atol=1e-8)
 
 

@@ -1,6 +1,8 @@
 """Twin-model training: EMA algebra, stop-gradients, SCST mechanics, resume."""
 
+import functools
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -300,7 +302,7 @@ def test_policy_gradient_matches_finite_differences():
             logits = decode_logits(h.ids[:-1], enc, params, cfg)
             lp = T.sequence_log_prob(logits, h.ids[1:], np.ones(len(h.ids) - 1))
             terms.append(T.scale(lp, -a / len(beam)))
-        return T.add_n(terms)
+        return functools.reduce(T.add, terms)
 
     leaves = [params["output.bias"], params["enc0.norm1.gain"],
               params["dec0.cross.wq.weight"]]
@@ -324,7 +326,7 @@ def xe_loss_per_sample(state, batch):
             target = decode_logits(ids[:-1], encode(grid, state.target, cfg), state.target, cfg)
         kd = T.masked_mse(target, logits, valid)
         losses.append(T.add(T.cross_entropy(logits, ids[1:], valid), T.scale(kd, state.lambda_kd)))
-    return T.scale(T.add_n(losses), 1.0 / len(losses))
+    return T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
 
 
 def scst_loss_per_image(state, batch, scst, df, vocab, embedder):
@@ -351,10 +353,10 @@ def scst_loss_per_image(state, batch, scst, df, vocab, embedder):
             rows = logits[partner[i]]
             n = min(len(target[i].logits), rows.shape[0])
             pairs.append(T.masked_mse(T.Tensor(np.stack(target[i].logits[:n])),
-                                      T.slice_rows(rows, 0, n), np.ones(n)))
-        kd = T.scale(T.add_n(pairs), 1.0 / len(pairs))
-        losses.append(T.add_n(terms + [T.scale(kd, scst.lambda_kd)]))
-    return T.scale(T.add_n(losses), 1.0 / len(batch))
+                                      T.embedding(rows, np.arange(n)), np.ones(n)))
+        kd = T.scale(functools.reduce(T.add, pairs), 1.0 / len(pairs))
+        losses.append(functools.reduce(T.add, terms + [T.scale(kd, scst.lambda_kd)]))
+    return T.scale(functools.reduce(T.add, losses), 1.0 / len(batch))
 
 
 def twin_state(cfg, seed=17):
@@ -532,6 +534,41 @@ def test_scst_resume_is_bitwise_identical(tmp_path):
 
     assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
     assert _read_log(a / "log.jsonl") == _read_log(b / "log.jsonl")
+
+
+def test_resume_from_an_older_checkpoint_logs_each_step_once(tmp_path):
+    samples, vocab, cfg = tiny_setup(num_images=8)
+    train, val = samples[:6], samples[6:]
+    seed = 24
+
+    def loop_cfg(d, steps):
+        d.mkdir(exist_ok=True)
+        return tr.LoopConfig(steps=steps, batch_size=3, warmup=50, val_every=2,
+                             val_beam=3, log_path=str(d / "log.jsonl"),
+                             ckpt_dir=str(d))
+
+    def resume(path, d, steps):
+        ckpt = load_checkpoint(path)
+        state, _ = tr.state_from_checkpoint(ckpt)
+        tr.train_xe(state, train, val, vocab, loop_cfg(d, steps), best=ckpt.best)
+
+    a = tmp_path / "straight"
+    tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(a, 4))
+    straight = _read_log(a / "log.jsonl")
+
+    b = tmp_path / "rewound"
+    tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(b, 2))
+    shutil.copy(b / "last.ckpt", tmp_path / "step2.ckpt")
+    resume(b / "last.ckpt", b, 4)
+    resume(tmp_path / "step2.ckpt", b, 4)  # steps 3 and 4 run again
+    assert _read_log(b / "log.jsonl") == straight
+    assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
+
+    # a torn last line, as a crash in mid-write leaves it, is cut as well
+    with open(b / "log.jsonl", "a") as fh:
+        fh.write('{"step": 5, "lr"')
+    resume(b / "last.ckpt", b, 4)
+    assert _read_log(b / "log.jsonl") == straight
 
 
 def test_both_stages_log_the_same_record_keys(tmp_path):
