@@ -106,8 +106,8 @@ _TRAIN_SCST_KEYS = {
 def parse_config(path, keyspec: dict) -> dict:
     """Read ``key = value`` lines; values use JSON syntax; keys are closed."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -125,7 +125,9 @@ def parse_config(path, keyspec: dict) -> dict:
         want, _default = keyspec[key]
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except RecursionError:
+            raise ConfigError(f"{path}:{line_no}: {key} nests too deeply") from None
+        except ValueError:  # not JSON, or an integer too long to convert
             parsed = value  # bare strings are fine for str keys
         if want is float and isinstance(parsed, int) and not isinstance(parsed, bool):
             parsed = float(parsed)
@@ -379,9 +381,9 @@ def cmd_evaluate(args) -> int:
         raise DataError(str(exc)) from exc
     candidates, references = [], []
     try:
-        with open(args.candidates) as fh:
+        with open(args.candidates, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(str(exc)) from exc
     for line_no, line in enumerate(lines, 1):
         line = line.strip()

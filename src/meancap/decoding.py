@@ -45,27 +45,28 @@ def beam_search(expand, k: int, max_length: int) -> list:
         raise ValueError(f"max_length must allow BOS plus one token, got {max_length}")
     beam = [Hypothesis([BOS_ID], 0.0)]
     while True:
-        live = [h for h in beam if not h.finished and len(h.ids) < max_length]
+        live = [i for i, h in enumerate(beam) if not h.finished and len(h.ids) < max_length]
         if not live:
             break
-        rows = np.asarray(expand([h.ids for h in live]))
-        live_iter = iter(range(len(live)))
-        candidates = []
-        for idx, h in enumerate(beam):
-            if h.finished or len(h.ids) >= max_length:
-                candidates.append((-h.logprob, -1, idx, h))
-                continue
-            row = rows[next(live_iter)]
-            logp = T._row_log_softmax(row)
-            # a single hypothesis can propose at most every token; the beam
-            # itself may be wider than the vocabulary (enumeration regime)
-            best = (-logp).argsort(kind="stable")[:min(k, len(logp))]
-            for tok in best.tolist():
-                nh = Hypothesis(h.ids + [tok], h.logprob + float(logp[tok]),
-                                h.logits + [row], tok == EOS_ID)
-                candidates.append((-nh.logprob, tok, idx, nh))
+        rows = np.asarray(expand([beam[i].ids for i in live]))
+        logp = T._row_log_softmax(rows)
+        # a single hypothesis can propose at most every token; the beam
+        # itself may be wider than the vocabulary (enumeration regime)
+        best = (-logp).argsort(axis=-1, kind="stable")[:, :k]
+        best_logp = np.take_along_axis(logp, best, axis=-1).tolist()
+        # (-logprob, token, hypothesis index, live row); frozen ones use token -1
+        candidates = [(-h.logprob, -1, i, None) for i, h in enumerate(beam)
+                      if h.finished or len(h.ids) >= max_length]
+        for r, (i, toks) in enumerate(zip(live, best.tolist())):
+            base = beam[i].logprob
+            candidates += [(-(base + lp), tok, i, r) for tok, lp in zip(toks, best_logp[r])]
         candidates.sort(key=lambda c: c[:3])
-        beam = [c[3] for c in candidates[:k]]
+        survivors = []
+        for neg, tok, i, r in candidates[:k]:
+            h = beam[i]
+            survivors.append(h if r is None else
+                             Hypothesis(h.ids + [tok], -neg, h.logits + [rows[r]], tok == EOS_ID))
+        beam = survivors
     beam.sort(key=lambda h: -h.logprob)
     return beam
 
@@ -80,12 +81,8 @@ def model_expander(params, config, encoder_layers):
     reference implementation for the cached decoder's equivalence tests."""
 
     def expand(prefixes):
-        out = []
         with T.no_grad():
-            for ids in prefixes:
-                logits = decode_step(ids, encoder_layers, params, config)
-                out.append(logits.data[0])
-        return np.stack(out)
+            return np.stack([decode_step(ids, encoder_layers, params, config).data[0] for ids in prefixes])
 
     return expand
 

@@ -7,16 +7,17 @@ new row against its parent's cached rows.  One ``expand`` call decodes all
 of its uncached prefixes in a single ``model.decode_layers`` pass: the
 parents' rows are stacked, and a block mask lets each new row see only its
 own parent's rows and itself, so prefixes of different lengths share the
-pass.  The cache keeps layer inputs, not their projections, so each pass
-projects the stacked rows and the encoder outputs again.  The arithmetic
-is the model's own; results match ``model.decode_step`` up to
-floating-point summation order, which the equivalence tests pin down.
+pass.  The image's cross-attention keys and values are projected once, up
+front; the cache keeps self-attention layer inputs, so each pass projects
+the stacked rows again.  The arithmetic is the model's own; results match
+``model.decode_step`` up to floating-point summation order, which the
+equivalence tests pin down.
 """
 
 import numpy as np
 
 from . import tensor as T
-from .model import NEG_INF, ModelConfig, decode_layers
+from .model import NEG_INF, ModelConfig, cross_memory, decode_layers
 from .tokenizer import BOS_ID
 
 
@@ -24,7 +25,8 @@ class FastDecoder:
     def __init__(self, params, config: ModelConfig, encoder_layers):
         self.params = params
         self.config = config
-        self.encoder_layers = encoder_layers
+        with T.no_grad():
+            self.memory = cross_memory(encoder_layers, params, config)
         # prefix tuple -> (per-layer self-attention rows (t, d), logits row)
         self._cache = {}
 
@@ -54,7 +56,7 @@ class FastDecoder:
         owner = np.concatenate([np.repeat(ids, lengths), ids])  # the prefix each key row belongs to
         mask = np.where(owner == ids[:, None], 0.0, NEG_INF).astype(self.params["embed.tokens"].dtype)
         with T.no_grad():
-            logits, rows = decode_layers([p[-1] for p in prefixes], lengths, self.encoder_layers,
-                                         self.params, self.config, T.Tensor(mask), past=past)
+            logits, rows = decode_layers([p[-1] for p in prefixes], lengths, self.memory,
+                                         self.params, self.config, mask, past=past)
         for i, p in enumerate(prefixes):
             self._cache[p] = ([layer.data[owner == i] for layer in rows], logits.data[i])

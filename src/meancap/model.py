@@ -8,6 +8,7 @@ leading axes ride along through each op, and a batch's row i equals the
 result for its i-th image or sequence alone, up to float rounding.
 """
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -139,42 +140,13 @@ def copy_params(params: dict) -> dict:
 
 
 def _linear(x, params, prefix):
-    return T.add(T.matmul(x, params[f"{prefix}.weight"]), params[f"{prefix}.bias"])
+    return T.linear(x, params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
 
-def _heads_split(x, num_heads):
-    """(..., t, d) -> (..., heads, t, d / heads)."""
-    *lead, t, d = x.shape
-    n = len(lead)
-    x = T.reshape(x, (*lead, t, num_heads, d // num_heads))
-    return T.transpose(x, (*range(n), n + 1, n, n + 2))
-
-
-def _heads_join(x):
-    """(..., heads, t, head_dim) -> (..., t, d)."""
-    *lead, h, t, hd = x.shape
-    n = len(lead)
-    return T.reshape(T.transpose(x, (*range(n), n + 1, n, n + 2)), (*lead, t, h * hd))
-
-
-def _attention(query_in, kv_in, params, prefix, config, mask=None, slots=None):
-    q = _heads_split(_linear(query_in, params, f"{prefix}.wq"), config.num_heads)
-    k = _linear(kv_in, params, f"{prefix}.wk")
-    v = _linear(kv_in, params, f"{prefix}.wv")
-    if slots is not None:
-        # every image attends to the same slots: look them up once per image
-        n = config.num_memory_slots
-        rows = np.broadcast_to(np.arange(n), (*kv_in.shape[:-2], n))
-        k = T.concat([k, T.embedding(params[f"{slots}.key"], rows)], axis=-2)
-        v = T.concat([v, T.embedding(params[f"{slots}.value"], rows)], axis=-2)
-    k = _heads_split(k, config.num_heads)
-    v = _heads_split(v, config.num_heads)
-    n = k.data.ndim - 2
-    head_dim = config.model_dim // config.num_heads
-    scores = T.scale(T.matmul(q, T.transpose(k, (*range(n), n + 1, n))), 1.0 / math.sqrt(head_dim))
-    if mask is not None:
-        scores = T.add(scores, mask)
-    return _linear(_heads_join(T.matmul(T.softmax(scores), v)), params, f"{prefix}.wo")
+def _attention(query_in, k, v, params, prefix, config, mask=None):
+    """Attention of ``query_in`` rows over keys and values already projected."""
+    q = _linear(query_in, params, f"{prefix}.wq")
+    return _linear(T.attention(q, k, v, config.num_heads, mask), params, f"{prefix}.wo")
 
 
 def _sublayer(x, out, params, norm_prefix, config, training, rng):
@@ -186,18 +158,20 @@ def _feedforward(x, params, prefix):
     return _linear(T.relu(_linear(x, params, f"{prefix}.w1")), params, f"{prefix}.w2")
 
 
-def causal_mask(t: int, dtype=np.float64) -> T.Tensor:
-    m = np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
-    return T.tensor(m, dtype=dtype)
+def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
+    return np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
 
 
+@functools.lru_cache(maxsize=128)
 def sinusoidal_encoding(length: int, d: int) -> np.ndarray:
+    """The (length, d) positional table, built once per shape; read-only."""
     pos = np.arange(length)[:, None].astype(np.float64)
     dim = np.arange(0, d, 2).astype(np.float64)
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((length, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 
@@ -222,38 +196,49 @@ def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
     x = _linear(x, params, "encoder.input")
     outputs = []
     for i in range(config.num_encoder_layers):
-        slots = f"enc{i}.attn.slots" if config.num_memory_slots > 0 else None
-        attn = _attention(x, x, params, f"enc{i}.attn", config, slots=slots)
+        prefix = f"enc{i}.attn"
+        k, v = _linear(x, params, f"{prefix}.wk"), _linear(x, params, f"{prefix}.wv")
+        if config.num_memory_slots > 0:
+            # every image attends to the same slots: look them up once per image
+            n = config.num_memory_slots
+            rows = np.broadcast_to(np.arange(n), (*x.shape[:-2], n))
+            k = T.concat([k, T.embedding(params[f"{prefix}.slots.key"], rows)], axis=-2)
+            v = T.concat([v, T.embedding(params[f"{prefix}.slots.value"], rows)], axis=-2)
+        attn = _attention(x, k, v, params, prefix, config)
         x = _sublayer(x, attn, params, f"enc{i}.norm1", config, training, rng)
         x = _sublayer(x, _feedforward(x, params, f"enc{i}.ff"), params, f"enc{i}.norm2", config, training, rng)
         outputs.append(x)
     return outputs
 
 
-def _cross_attend(x, encoder_layers, params, j, config):
+def cross_memory(encoder_layers, params, config: ModelConfig) -> list:
+    """Entry j: decoder layer j's projected cross-attention (k, v) for each
+    encoder layer it attends to, all of them under the mesh, else the last."""
+    attended = encoder_layers if config.mesh_enabled else encoder_layers[-1:]
+    return [[(_linear(enc, params, f"dec{j}.cross.wk"), _linear(enc, params, f"dec{j}.cross.wv"))
+             for enc in attended] for j in range(config.num_decoder_layers)]
+
+
+def _cross_attend(x, memory, params, j, config):
+    # one query projection per encoder layer: a shared one would reorder the gradient sums into x
+    outs = [_attention(x, k, v, params, f"dec{j}.cross", config) for k, v in memory]
     if not config.mesh_enabled:
-        return _attention(x, encoder_layers[-1], params, f"dec{j}.cross", config)
-    num_enc = len(encoder_layers)
-    combined = None
-    for l, enc_out in enumerate(encoder_layers):
-        c = _attention(x, enc_out, params, f"dec{j}.cross", config)
-        gate = T.sigmoid(_linear(x, params, f"dec{j}.mesh{l}.gate"))
-        gated = T.mul(gate, c)
-        combined = gated if combined is None else T.add(combined, gated)
-    return T.scale(combined, 1.0 / num_enc)
+        return outs[0]
+    gated = [T.mul(T.sigmoid(_linear(x, params, f"dec{j}.mesh{l}.gate")), c) for l, c in enumerate(outs)]
+    return T.scale(functools.reduce(T.add, gated), 1.0 / len(gated))
 
 
-def decode_layers(token_ids, positions, encoder_layers, params, config: ModelConfig, mask,
+def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mask,
                   past=None, training=False, rng=None):
     """Run the decoder layers on new rows; returns (logits, per-layer rows).
 
     Row i embeds ``token_ids[..., i]`` at position ``positions[i]``; leading
-    axes of ``token_ids`` index sequences, each with its own encoder rows.
+    axes of ``token_ids`` index sequences, each with its own ``memory`` rows.
     Decoder layer j's self-attention reads ``past[j]`` (rows from an earlier
     call, or nothing when ``past`` is None) followed by the new rows, and
-    the additive ``mask`` (new rows x all rows) says which of them each new
-    row may see.  The second result holds each layer's self-attention rows,
-    past followed by new: what a later call passes as ``past``.
+    the additive ``mask`` array (new rows x all rows) says which of them each
+    new row may see.  The second result holds each layer's self-attention
+    rows, past followed by new: what a later call passes as ``past``.
     """
     positions = np.asarray(positions)
     last = int(positions.max())
@@ -268,9 +253,11 @@ def decode_layers(token_ids, positions, encoder_layers, params, config: ModelCon
     for j in range(config.num_decoder_layers):
         kv = x if past is None else T.concat([past[j], x], axis=0)
         rows.append(kv)
-        attn = _attention(x, kv, params, f"dec{j}.self", config, mask=mask)
+        sa = f"dec{j}.self"
+        attn = _attention(x, _linear(kv, params, f"{sa}.wk"), _linear(kv, params, f"{sa}.wv"),
+                          params, sa, config, mask=mask)
         x = _sublayer(x, attn, params, f"dec{j}.norm1", config, training, rng)
-        cross = _cross_attend(x, encoder_layers, params, j, config)
+        cross = _cross_attend(x, memory[j], params, j, config)
         x = _sublayer(x, cross, params, f"dec{j}.norm2", config, training, rng)
         x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, training, rng)
     return _linear(x, params, "output"), rows
@@ -290,8 +277,8 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
         raise ValueError("decoder prefix must begin with BOS")
     t = token_ids.shape[-1]
     mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
-    logits, _ = decode_layers(token_ids, np.arange(t), encoder_layers, params, config, mask,
-                              training=training, rng=rng)
+    logits, _ = decode_layers(token_ids, np.arange(t), cross_memory(encoder_layers, params, config),
+                              params, config, mask, training=training, rng=rng)
     return logits
 
 

@@ -7,6 +7,8 @@ an acyclic graph and ``backward`` walks it once in reverse topological
 order.  Works in float64 (test and oracle builds) or float32 (training).
 """
 
+import math
+
 import numpy as np
 
 _grad_enabled = True
@@ -59,8 +61,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = _copied(self.data, g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -80,6 +83,14 @@ def parameter(data, dtype=None) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
+def _copied(like: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` added into zeros laid out like ``like``, as a node's first gradient
+    is; fused ops copy where their op chains did, so the bits stay the same."""
+    out = np.zeros_like(like)
+    out += g
+    return out
+
+
 def _result(data, parents, backward):
     """Wrap an op result, recording the graph only when it can matter."""
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -87,33 +98,24 @@ def _result(data, parents, backward):
     return Tensor(data)
 
 
-class Graph:
-    """Topologically ordered node registry rooted at a loss tensor.
+def _topological(root: Tensor) -> list:
+    """Every gradient-relevant node under ``root``, each after its inputs.
 
-    ``nodes`` lists every gradient-relevant node with each node's inputs
-    appearing before the node itself; acyclic by construction since tensors
-    only ever reference previously built parents.
+    An iterative post-order walk: recursion would overflow on long chains.
     """
-
-    def __init__(self, root: Tensor):
-        self.root = root
-        self.nodes = []
-        seen = set()
-        # Iterative post-order DFS; recursion would overflow on long chains.
-        stack = [(root, iter(root.parents))]
-        seen.add(id(root))
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for parent in it:
-                if id(parent) not in seen and parent.requires_grad:
-                    seen.add(id(parent))
-                    stack.append((parent, iter(parent.parents)))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                self.nodes.append(node)
+    nodes, seen = [], {id(root)}
+    stack = [(root, iter(root.parents))]
+    while stack:
+        node, it = stack[-1]
+        for parent in it:
+            if id(parent) not in seen and parent.requires_grad:
+                seen.add(id(parent))
+                stack.append((parent, iter(parent.parents)))
+                break
+        else:
+            stack.pop()
+            nodes.append(node)
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
@@ -130,9 +132,8 @@ def backward(loss: Tensor) -> None:
     loss._backward_ran = True
     if not loss.requires_grad:
         return
-    graph = Graph(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(graph.nodes):
+    for node in reversed(_topological(loss)):
         if node._backward is not None:
             node._backward(node.grad)
 
@@ -187,30 +188,27 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis; leading axes ride along.
 
-    A batch of rows times one weight matrix, (B, T, d) x (d, n), runs as a
-    single 2D product, and so does its weight gradient.
+    A batch of rows times one (d, n) weight runs as a single 2D product, and
+    so does its weight gradient.
     """
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ValueError(f"matmul needs >=2D operands, got {ad.shape} x {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ValueError(f"matmul inner extents differ: {ad.shape} x {bd.shape}")
-    out = ad @ bd  # numpy rejects leading axes that do not broadcast
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ValueError(f"linear needs (..., d) x (d, n) + (n,), "
+                         f"got {xd.shape} x {wd.shape} + {b.data.shape}")
+    out = xd @ wd + b.data
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
         if b.requires_grad:
-            if bd.ndim == 2:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-            b.accumulate_grad(gb)
+            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            x.accumulate_grad(g @ wd.T)
+        if w.requires_grad:
+            w.accumulate_grad(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
-    return _result(out, (a, b), bw)
+    return _result(out, (x, w, b), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -228,29 +226,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             offset += size
 
     return _result(out, tuple(tensors), bw)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    out = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(old))
-
-    return _result(out, (a,), bw)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    out = a.data.transpose(axes)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inverse))
-
-    return _result(out, (a,), bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -291,20 +266,6 @@ def sigmoid(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             a.accumulate_grad(g * out * (1.0 - out))
-
-    return _result(out, (a,), bw)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Probability simplex along ``axis``, stabilised by max subtraction."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(out * (g - dot))
 
     return _result(out, (a,), bw)
 
@@ -355,6 +316,52 @@ def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
             x.accumulate_grad(g * mask)
 
     return _result(out, (x,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node: rows (..., tq, d)
+    of ``q`` attend to rows (..., tk, d) of ``k`` and ``v``, each head on its
+    own d / num_heads columns.  ``mask`` is an additive array broadcast
+    against the (..., heads, tq, tk) scores.  Forward and backward run the
+    numpy operations of the heads split, scores, mask, softmax, weighted sum
+    and heads join chain in its order and layouts, so results match it bit
+    for bit.
+    """
+    d = q.data.shape[-1]
+    if k.data.shape[-1] != d or v.data.shape != k.data.shape or d % num_heads:
+        raise ValueError(f"attention needs (..., tq, d) and two (..., tk, d) inputs with d divisible "
+                         f"by {num_heads} heads, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    c = 1.0 / math.sqrt(d // num_heads)
+
+    def split(a):  # (..., t, d) -> (..., heads, t, d / heads), a view
+        return np.swapaxes(a.reshape(*a.shape[:-1], num_heads, d // num_heads), -3, -2)
+
+    def join(a):  # (..., heads, t, d / heads) -> (..., t, d)
+        return np.swapaxes(a, -3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
+
+    qh, kt, vh = split(q.data), np.swapaxes(split(k.data), -1, -2), split(v.data)
+    scores = (qh @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    att = p @ vh
+
+    def bw(g):
+        ga = _copied(att, split(g))
+        if v.requires_grad:
+            v.accumulate_grad(join(_unbroadcast(np.swapaxes(p, -1, -2) @ ga, vh.shape)))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gp = _copied(p, _unbroadcast(ga @ np.swapaxes(vh, -1, -2), p.shape))
+        gs = _copied(scores, p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c)
+        if k.requires_grad:
+            gk = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
+            k.accumulate_grad(join(np.swapaxes(gk, -1, -2)))
+        if q.requires_grad:
+            q.accumulate_grad(join(_unbroadcast(gs @ np.swapaxes(kt, -1, -2), qh.shape)))
+
+    return _result(join(att), (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

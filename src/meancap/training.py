@@ -436,9 +436,11 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
     """The loop both stages share, from state.step + 1 up to loop.steps.
 
     ``step(number)`` makes one optimizer step and returns its log record
-    without "step".  Every ``loop.val_every`` steps and at the end both
-    models are scored on held-out data, and each new best target score is
-    saved as ``best.ckpt``; ``last.ckpt`` is saved once the loop is done.
+    without "step".  Every ``loop.val_every`` steps both models are scored
+    on held-out data, and each new best target score is saved as
+    ``best.ckpt``; ``last.ckpt`` is saved once the loop is done.  A run
+    ending off that schedule is scored for ``final_val`` alone, so a stop
+    there and a resume write what an uninterrupted run does.
     """
     def save(name):
         if loop.ckpt_dir is None:
@@ -447,19 +449,20 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
         save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best, extra))
         return path
 
-    val_df = (metrics.DocumentFrequency([s.references for s in val_samples])
-              if val_samples else None)
+    def validate():
+        return {name: validate_cider(params, state.config, val_samples, vocab, loop.val_beam, val_df)
+                for name, params in (("online", state.online), ("target", state.target))}
+
+    validating = bool(val_samples and loop.val_every)
+    val_df = metrics.DocumentFrequency([s.references for s in val_samples]) if validating else None
     log_fh = _open_log(loop.log_path, state.step)
-    scores = None
+    first, scores = state.step, None
     try:
         while state.step < loop.steps:
             record = step(state.step + 1)
             _append_log(log_fh, {"step": state.step, **record})
-            at_end = state.step == loop.steps
-            if val_samples and loop.val_every and (state.step % loop.val_every == 0 or at_end):
-                scores = {name: validate_cider(params, state.config, val_samples, vocab,
-                                               loop.val_beam, val_df)
-                          for name, params in (("online", state.online), ("target", state.target))}
+            if validating and state.step % loop.val_every == 0:
+                scores = validate()
                 _append_log(log_fh, {"event": "val", "step": state.step,
                                      "val_cider_online": scores["online"],
                                      "val_cider_target": scores["target"]})
@@ -467,6 +470,8 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
                     best = {"step": state.step, "cider_target": scores["target"],
                             "cider_online": scores["online"]}
                     save("best.ckpt")
+        if validating and state.step > first and state.step % loop.val_every:
+            scores = validate()
         last_path = save("last.ckpt")
     finally:
         if log_fh is not None:

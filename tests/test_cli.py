@@ -2,9 +2,12 @@
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancap import cli
 from meancap.checkpoint import load_checkpoint, save_checkpoint
@@ -255,6 +258,14 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
         assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
 
 
+def test_evaluate_non_utf8_candidates_exit_three(tmp_path, capsys):
+    cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
+    cands.write_bytes(b'{"id": 1, "caption": "a \xff dog"}\n')
+    refs.write_text('{"id": 1, "refs": ["a dog"]}\n')
+    assert cli.main(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "data"
+
+
 def test_nan_checkpoint_exits_four(overfit_run, tmp_path, capsys):
     ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")
     ckpt.groups["target"]["output.bias"][:] = np.nan
@@ -314,6 +325,41 @@ def test_resume_refuses_other_momentum_or_lambda_kd(overfit_run, tmp_path, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and key in err["detail"]
     assert load_checkpoint(last).step == 2
+
+
+MALFORMED_CONFIGS = {
+    "deep-nesting": b"out_dir = " + b"[" * 100_000 + b"\n",
+    "not-utf8": b"seed = 1\nout_dir = d\xff\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+@pytest.mark.parametrize("command", ["gen-data", "train-xe", "train-scst"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, command, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(MALFORMED_CONFIGS[name])
+    checkpoint = [str(tmp_path / "missing.ckpt")] if command == "train-scst" else []
+    assert cli.main([command, str(cfg)] + checkpoint) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+# config-shaped fragments, so that most draws reach the value parser
+_CONFIG_PIECES = st.sampled_from([b"seed", b"out_dir", b"num_images", b"noise_sigma", b"=", b" = ",
+                                  b"[", b"]", b"{", b"}", b'"', b"1", b"-2.5e3", b"true", b"null",
+                                  b"#", b"\n", b"\xff", b"\x00", b"\xc3\xa9"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.lists(_CONFIG_PIECES, max_size=40).map(b"".join)))
+def test_parse_config_of_arbitrary_bytes_gives_a_dict_or_config_error(content):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "any.cfg"
+        path.write_bytes(content)
+        try:
+            cfg = cli.parse_config(path, cli._GEN_DATA_KEYS)
+        except cli.ConfigError:
+            return
+    assert isinstance(cfg, dict) and set(cfg) == set(cli._GEN_DATA_KEYS)
 
 
 def test_config_parser_details(tmp_path):

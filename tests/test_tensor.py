@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from meancap import tensor as T
+from meancap.model import NEG_INF
 from gradcheck import check_gradients
 
 
@@ -47,31 +48,75 @@ def test_scale_of_a_sum_gradients():
         check_gradients(lambda: T.sum_all(T.scale(functools.reduce(T.add, parts), -0.7)), parts)
 
 
-def test_matmul_2d_gradients():
+def test_linear_2d_gradients():
     rng = np.random.default_rng(14)
     for _ in range(10):
-        a = leaf(rng, 3, 5)
-        b = leaf(rng, 5, 2)
-        check_gradients(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+        x = leaf(rng, 3, 5)
+        w = leaf(rng, 5, 2)
+        b = leaf(rng, 2)
+        check_gradients(lambda: T.sum_all(T.linear(x, w, b)), [x, w, b])
 
 
-def test_matmul_batched_gradients():
+def test_linear_batched_gradients():
     rng = np.random.default_rng(15)
     for _ in range(10):
-        a = leaf(rng, 2, 3, 4)
-        b = leaf(rng, 2, 4, 3)
-        check_gradients(lambda: T.sum_all(T.matmul(a, b)), [a, b])
+        x = leaf(rng, 2, 3, 4)
+        w = leaf(rng, 4, 3)
+        b = leaf(rng, 3)
+        proj = T.tensor(rng.standard_normal((2, 3, 3)))
+        check_gradients(lambda: T.sum_all(T.mul(T.linear(x, w, b), proj)), [x, w, b])
 
 
-def test_matmul_shape_errors_report_both_shapes():
-    a = T.tensor(np.zeros((3, 4)))
-    b = T.tensor(np.zeros((5, 2)))
+def test_linear_shape_errors_report_both_shapes():
+    x = T.tensor(np.zeros((3, 4)))
+    w = T.tensor(np.zeros((5, 2)))
     with pytest.raises(ValueError) as exc:
-        T.matmul(a, b)
+        T.linear(x, w, T.tensor(np.zeros(2)))
     assert "(3, 4)" in str(exc.value) and "(5, 2)" in str(exc.value)
 
 
-def test_concat_reshape_transpose_slice_gradients():
+def test_linear_is_bitwise_x_at_w_plus_b():
+    rng = np.random.default_rng(23)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 5, 8)).astype(dtype)
+        w = rng.standard_normal((8, 6)).astype(dtype)
+        b = rng.standard_normal(6).astype(dtype)
+        got = T.linear(T.tensor(x, dtype), T.parameter(w), T.parameter(b)).data
+        assert got.dtype == dtype and got.tobytes() == (x @ w + b).tobytes()
+
+
+def _attention_oracle(q, k, v, num_heads, mask):
+    """Per-head loop in plain numpy, one sequence at a time."""
+    *lead, tq, d = q.shape
+    e = d // num_heads
+    out = np.zeros(q.shape)
+    for idx in np.ndindex(*lead):
+        for h in range(num_heads):
+            cols = slice(h * e, (h + 1) * e)
+            scores = q[idx][:, cols] @ k[idx][:, cols].T / np.sqrt(e) + mask
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            out[idx][:, cols] = weights @ v[idx][:, cols]
+    return out
+
+
+def _offset_causal_mask(tq, tk):
+    """New row i sees the tk - tq earlier keys and the new keys up to itself."""
+    return np.where(np.arange(tk) <= np.arange(tq)[:, None] + tk - tq, 0.0, NEG_INF)
+
+
+def test_attention_matches_per_head_loop():
+    rng = np.random.default_rng(24)
+    for heads, tq, tk in ((1, 3, 3), (2, 2, 5), (4, 4, 6)):
+        q, k, v = (rng.standard_normal((2, t, 8)) for t in (tq, tk, tk))
+        mask = _offset_causal_mask(tq, tk)
+        got = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), heads, mask).data
+        np.testing.assert_allclose(got, _attention_oracle(q, k, v, heads, mask), rtol=0, atol=1e-12)
+        unmasked = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), heads).data
+        np.testing.assert_allclose(unmasked, _attention_oracle(q, k, v, heads, 0.0), rtol=0, atol=1e-12)
+
+
+def test_concat_slice_gradients():
     rng = np.random.default_rng(16)
     for _ in range(10):
         a = leaf(rng, 2, 3)
@@ -80,9 +125,7 @@ def test_concat_reshape_transpose_slice_gradients():
 
         def loss():
             cat = T.concat([a, b], axis=0)
-            flat = T.reshape(cat, (3, 6))
-            tr = T.transpose(flat, (1, 0))
-            return T.sum_all(T.mul(T.embedding(tr, [1, 2, 3]), w))
+            return T.sum_all(T.mul(T.embedding(cat, [1, 2, 5]), w))
 
         check_gradients(loss, [a, b])
 
@@ -114,28 +157,33 @@ def test_relu_sigmoid_gradients():
 
 
 def test_softmax_rows_are_a_simplex():
+    # with one head and identity values, attention returns its softmax weights
     rng = np.random.default_rng(19)
     for _ in range(20):
-        logits = rng.standard_normal((5, 9)) * rng.uniform(0.1, 30.0)
-        p = T.softmax(T.tensor(logits)).data
+        q = rng.standard_normal((5, 9)) * rng.uniform(0.1, 30.0)
+        k = rng.standard_normal((9, 9))
+        p = T.attention(T.tensor(q), T.tensor(k), T.tensor(np.eye(9)), 1).data
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
 
 def test_softmax_gradients():
+    # the gradient through attention's softmax alone: identity values
     rng = np.random.default_rng(20)
     for _ in range(10):
-        a = leaf(rng, 3, 5)
+        q = leaf(rng, 3, 5)
+        k = leaf(rng, 5, 5)
         w = T.tensor(rng.standard_normal((3, 5)))
-        check_gradients(lambda: T.sum_all(T.mul(T.softmax(a), w)), [a])
+        eye = T.tensor(np.eye(5))
+        check_gradients(lambda: T.sum_all(T.mul(T.attention(q, k, eye, 1), w)), [q, k])
 
 
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(21)
     logits = rng.standard_normal((4, 7)) * 12.0
-    np.testing.assert_allclose(
-        T._row_log_softmax(logits), np.log(T.softmax(T.tensor(logits)).data), atol=1e-12
-    )
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    softmax = e / e.sum(axis=-1, keepdims=True)
+    np.testing.assert_allclose(T._row_log_softmax(logits), np.log(softmax), atol=1e-12)
 
 
 def test_layer_norm_gradients():

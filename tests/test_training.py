@@ -17,8 +17,8 @@ from meancap.decoding import Hypothesis, beam_search
 from meancap.fastdecode import FastDecoder
 from meancap.metrics import DocumentFrequency, reward
 from meancap.model import ModelConfig, decode_logits, encode, init_params
-from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, generator
-from meancap.tokenizer import EOS_ID, build_vocab, detokenize_ids, tokenize
+from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
+from meancap.tokenizer import BOS_ID, EOS_ID, build_vocab, detokenize_ids, tokenize
 
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
@@ -505,6 +505,36 @@ def test_xe_resume_is_bitwise_identical(tmp_path):
     assert _read_log(a / "log.jsonl") == _read_log(b / "log.jsonl")
 
 
+def test_resume_after_an_off_schedule_stop_is_bitwise_identical(tmp_path):
+    samples, vocab, cfg = tiny_setup(num_images=8)
+    train, val = samples[:6], samples[6:]
+    seed = 25
+
+    def loop_cfg(d, steps):
+        d.mkdir(exist_ok=True)
+        return tr.LoopConfig(steps=steps, batch_size=3, warmup=50, val_every=3,
+                             val_beam=3, log_path=str(d / "train_log.jsonl"),
+                             ckpt_dir=str(d))
+
+    def artifacts(d):
+        return [(d / name).read_bytes() for name in ("train_log.jsonl", "last.ckpt", "best.ckpt")]
+
+    a = tmp_path / "straight"
+    out = tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(a, 4))
+    assert out["final_val"] is not None  # step 4 is scored for the caller only
+    records = [json.loads(line) for line in _read_log(a / "train_log.jsonl").splitlines()]
+    assert [r["step"] for r in records if r.get("event") == "val"] == [3]
+
+    b = tmp_path / "resumed"
+    out = tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(b, 2))
+    assert out["final_val"] is not None and out["best"] is None
+    assert not (b / "best.ckpt").exists()
+    ckpt = load_checkpoint(b / "last.ckpt")
+    state, _ = tr.state_from_checkpoint(ckpt)
+    tr.train_xe(state, train, val, vocab, loop_cfg(b, 4), best=ckpt.best)
+    assert artifacts(a) == artifacts(b)
+
+
 def test_scst_resume_is_bitwise_identical(tmp_path):
     samples, vocab, cfg = tiny_setup(num_images=8)
     train, val = samples[:6], samples[6:]
@@ -611,3 +641,46 @@ def test_sequence_ids_truncates_with_eos():
     assert len(short) == 6
     assert short[0] == full[0] and short[-1] == EOS_ID
     assert tr.sequence_ids(text, vocab, len(full)) == full
+
+
+# ---------------------------------------------------------------------------
+# graph size
+# ---------------------------------------------------------------------------
+
+
+def _count_ops(monkeypatch, fn, *args):
+    """Tensor ops (``tensor._result`` calls) made by ``fn(*args)``."""
+    calls = []
+    original = T._result
+    monkeypatch.setattr(T, "_result", lambda *a: calls.append(1) or original(*a))
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def test_op_counts_of_a_beam_expansion_and_an_xe_step(monkeypatch):
+    # Per-op Python overhead, not arithmetic, sets the speed of decoding at
+    # these sizes, so the node count of a pass is pinned exactly.
+    cfg = ModelConfig(vocab_size=200, mesh_enabled=True)  # the caption-eval model
+    params = init_params(cfg, 0)
+    grid = np.random.default_rng(0).standard_normal((16, cfg.feature_dim)).astype(np.float32)
+    with T.no_grad():
+        enc = encode(grid, params, cfg)
+    made = []
+    # the cross-attention memory: (k, v) for 2 decoder x 2 encoder layers
+    assert _count_ops(monkeypatch, lambda: made.append(FastDecoder(params, cfg, enc))) == 8
+    fast = made[0]
+    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID]]) == 60
+    # a later pass also stacks each layer's cached rows
+    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID, 5], [BOS_ID, 6]]) == 62
+
+    samples, vocab, tiny = tiny_setup()
+    state = tr.TrainState.create(tiny, seed=1)
+    batch = [(s.features.grid, tr.sequence_ids(s.references[0], vocab, tiny.max_length))
+             for s in samples[:3]]
+    rng_online, rng_target = KeyedRng(1, ROLE_ONLINE), KeyedRng(1, ROLE_TARGET)
+    rng_online.begin_step(1)
+    rng_target.begin_step(1)
+    assert _count_ops(monkeypatch, tr.xe_step, state, batch, 1e-3, rng_online, rng_target) == 96
