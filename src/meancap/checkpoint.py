@@ -12,7 +12,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Checkpoint:
     lambda_kd: float
     groups: dict  # group name -> {param name -> ndarray}
     best: dict = None
-    extra: dict = field(default_factory=dict)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -61,7 +60,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "lambda_kd": ckpt.lambda_kd,
         "groups": listing,
         "best": ckpt.best,
-        "extra": ckpt.extra,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + b"".join(blobs)
@@ -124,5 +122,4 @@ def load_checkpoint(path) -> Checkpoint:
         lambda_kd=header["lambda_kd"],
         groups=groups,
         best=header.get("best"),
-        extra=header.get("extra", {}),
     )

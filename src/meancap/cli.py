@@ -9,13 +9,17 @@
 Every numeric hyperparameter lives in the config file (``key = value``
 lines, values in JSON syntax), but train-scst takes the model and its
 vocabulary from its checkpoint: a manifest's config snapshot and the
-checkpoint it names as source pin a run completely.  Commands print a
-machine-readable JSON error on stderr and exit 2 (config), 3 (data), or 4
-(numeric failure).
+checkpoint it names as source pin a run completely.  A training key named
+after a field of ``ModelConfig``, ``LoopConfig``, ``ScstConfig`` or
+``TrainState`` takes its type and default from that field.  Commands print
+a machine-readable JSON error on stderr and exit 2 (config), 3 (data), or
+4 (numeric failure).
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -47,17 +51,22 @@ class DataError(Exception):
 
 _REQUIRED = object()
 
-_MODEL_KEYS = {
-    "model_dim": (int, 64),
-    "feedforward_dim": (int, 256),
-    "num_heads": (int, 4),
-    "num_encoder_layers": (int, 2),
-    "num_decoder_layers": (int, 2),
-    "num_memory_slots": (int, 8),
-    "dropout_rate": (float, 0.1),
-    "max_length": (int, 24),
-    "mesh_enabled": (bool, False),
-}
+
+def _field_keys(cls, *names) -> dict:
+    """Keys for the named fields of a library class (all if none are named),
+    typed and defaulted by their fields; one without a default is required."""
+    return {f.name: (f.type, _REQUIRED if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls) if not names or f.name in names}
+
+
+def _fields_of(cls, cfg: dict) -> dict:
+    """The parsed keys that name fields of a library class."""
+    return {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
+
+
+# the vocabulary and the feature width come from the data
+_MODEL_KEYS = {k: spec for k, spec in _field_keys(ModelConfig).items()
+               if k not in ("vocab_size", "feature_dim")}
 
 _GEN_DATA_KEYS = {
     "seed": (int, _REQUIRED),
@@ -78,28 +87,19 @@ _TRAIN_XE_KEYS = {
     "seed": (int, _REQUIRED),
     "data_dir": (str, _REQUIRED),
     "out_dir": (str, _REQUIRED),
-    "steps": (int, _REQUIRED),
-    "vocab_size": (int, 200),
-    "batch_size": (int, 16),
-    "warmup": (int, 1000),
-    "val_every": (int, 0),
-    "val_beam": (int, 5),
-    "lambda_kd": (float, 0.1),
-    "momentum": (float, 0.999),
+    "vocab_size": (int, 200),  # the target size of the learned vocabulary
+    **_field_keys(tr.LoopConfig, "steps", "batch_size", "warmup", "val_every", "val_beam"),
+    **_field_keys(tr.TrainState, "momentum", "lambda_kd"),
     **_MODEL_KEYS,
 }
 
+# steps count from the stage start; the learning rate is constant
 _TRAIN_SCST_KEYS = {
     "data_dir": (str, _REQUIRED),
     "out_dir": (str, _REQUIRED),
-    "steps": (int, _REQUIRED),
-    "batch_size": (int, 8),
-    "strategy": (str, "best"),
-    "beam_size": (int, 5),
-    "learning_rate": (float, 5e-6),
-    "lambda_kd": (float, 0.1),
-    "val_every": (int, 0),
-    "val_beam": (int, 5),
+    **_field_keys(tr.LoopConfig, "steps", "val_every", "val_beam"),
+    "batch_size": (int, 8),  # each image costs two beam searches a step
+    **_field_keys(tr.ScstConfig),
 }
 
 
@@ -130,12 +130,14 @@ def parse_config(path, keyspec: dict) -> dict:
         except ValueError:  # not JSON, or an integer too long to convert
             parsed = value  # bare strings are fine for str keys
         if want is float and isinstance(parsed, int) and not isinstance(parsed, bool):
-            parsed = float(parsed)
+            parsed = float(str(parsed))  # past the float range: inf, not OverflowError
         if want is int and isinstance(parsed, bool):
             raise ConfigError(f"{path}:{line_no}: {key} must be an integer")
         if not isinstance(parsed, want):
             raise ConfigError(
                 f"{path}:{line_no}: {key} must be {want.__name__}, got {parsed!r}")
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {value}")
         out[key] = parsed
     for key, (_want, default) in keyspec.items():
         if key not in out:
@@ -152,6 +154,25 @@ def _config_values():
         yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _load(path):
+    """(checkpoint, state, vocabulary) from a checkpoint file; one that
+    cannot be read or rebuilt is a data error."""
+    try:
+        ckpt = load_checkpoint(path)
+        return (ckpt, *tr.state_from_checkpoint(ckpt))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
+
+
+def _open_out(path):
+    """Open an --out file, creating its directory, before the work that fills it."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def load_dataset(data_dir):
@@ -243,9 +264,8 @@ def _train_stage(command: str, cfg: dict, state, started: str, train, source=Non
     """The tail both training commands share: the loop, the run, the manifest."""
     out = Path(cfg["out_dir"])
     with _config_values():
-        loop = tr.LoopConfig(batch_size=cfg["batch_size"], val_every=cfg["val_every"],
-                             val_beam=cfg["val_beam"], log_path=str(out / "train_log.jsonl"),
-                             ckpt_dir=str(out), **loop_keys)
+        loop = tr.LoopConfig(**dict(_fields_of(tr.LoopConfig, cfg), **loop_keys),
+                             log_path=str(out / "train_log.jsonl"), ckpt_dir=str(out))
     if loop.val_beam > state.config.vocab_size:
         raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
                           f"{state.config.vocab_size}")
@@ -274,32 +294,27 @@ def cmd_train_xe(args) -> int:
                                 **{k: cfg[k] for k in _MODEL_KEYS})
     best = None
     if args.resume:
-        try:
-            ckpt = load_checkpoint(args.resume)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot load checkpoint {args.resume}: {exc}") from exc
+        ckpt, state, vocab = _load(args.resume)
         if ckpt.stage != "xe":
             raise ConfigError(f"--resume expects an xe-stage checkpoint, got stage {ckpt.stage!r}")
-        want = model_cfg.to_dict()
+        want = dataclasses.asdict(model_cfg)
         diff = sorted(k for k in set(ckpt.config) | set(want) if ckpt.config.get(k) != want.get(k))
         if diff:
             raise ConfigError(f"checkpoint {args.resume} config disagrees with the given "
                               f"config on: {', '.join(diff)}")
         # the state comes from the checkpoint, so a config that asks for
         # other training values would be silently ignored
-        for key in ("seed", "momentum", "lambda_kd"):
-            if getattr(ckpt, key) != cfg[key]:
-                raise ConfigError(f"checkpoint {key} {getattr(ckpt, key)} != config {key} {cfg[key]}")
-        state, vocab = tr.state_from_checkpoint(ckpt)
+        for key, value in _fields_of(tr.TrainState, cfg).items():
+            if getattr(state, key) != value:
+                raise ConfigError(f"checkpoint {key} {getattr(state, key)} != config {key} {value}")
         best = ckpt.best
     else:
         with _config_values():
-            state = tr.TrainState.create(model_cfg, cfg["seed"], momentum=cfg["momentum"],
-                                         lambda_kd=cfg["lambda_kd"])
+            state = tr.TrainState.create(model_cfg, **_fields_of(tr.TrainState, cfg))
     return _train_stage(
         "train-xe", cfg, state, started,
         lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best),
-        source=args.resume, steps=cfg["steps"], warmup=cfg["warmup"])
+        source=args.resume)
 
 
 def cmd_train_scst(args) -> int:
@@ -308,68 +323,56 @@ def cmd_train_scst(args) -> int:
     started = _now()
     cfg = parse_config(args.config, _TRAIN_SCST_KEYS)
     splits = load_dataset(cfg["data_dir"])
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
-    state, vocab = tr.state_from_checkpoint(ckpt)
+    ckpt, state, vocab = _load(args.checkpoint)
     width = splits["train"][0].features.grid.shape[1]
     if width != state.config.feature_dim:
         raise DataError(f"{cfg['data_dir']} has {width}-wide features; "
                         f"checkpoint {args.checkpoint} takes {state.config.feature_dim}")
     with _config_values():
-        scst = tr.ScstConfig(strategy=cfg["strategy"], beam_size=cfg["beam_size"],
-                             learning_rate=cfg["learning_rate"], lambda_kd=cfg["lambda_kd"])
+        scst = tr.ScstConfig(**_fields_of(tr.ScstConfig, cfg))
+    if ckpt.stage not in ("xe", "scst"):
+        raise ConfigError(f"unknown checkpoint stage {ckpt.stage!r}")
+    if not 0 <= state.adam_t <= state.step:
+        raise DataError(f"checkpoint {args.checkpoint} has adam_t {state.adam_t} "
+                        f"outside 0..step {state.step}")
     if ckpt.stage == "xe":
-        stage_start = ckpt.step
         tr.prepare_for_scst(state, scst)
         best = None  # XE-stage validation scores are not comparable
-    elif ckpt.stage == "scst":
-        if "stage_start" not in ckpt.extra:
-            raise DataError(f"scst checkpoint {args.checkpoint} lacks extra.stage_start")
-        stage_start = int(ckpt.extra["stage_start"])
+    else:
         state.lambda_kd = scst.lambda_kd
         best = ckpt.best
-    else:
-        raise ConfigError(f"unknown checkpoint stage {ckpt.stage!r}")
+    stage_start = state.step - state.adam_t  # see prepare_for_scst
     return _train_stage(
         "train-scst", cfg, state, started,
         lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
-                                   best=best, extra={"stage_start": stage_start}),
+                                   best=best),
         source=args.checkpoint, steps=stage_start + cfg["steps"])
 
 
 def cmd_caption(args) -> int:
     started = _now()
+    _ckpt, state, vocab = _load(args.checkpoint)
     try:
-        ckpt = load_checkpoint(args.checkpoint)
         grids = D.read_features(args.features)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
-    state, vocab = tr.state_from_checkpoint(ckpt)
     params = state.online if args.model == "online" else state.target
     if args.beam < 1:
         raise ConfigError(f"--beam must be >= 1, got {args.beam}")
-    rows = []
-    for grid in grids:
-        with _config_values():
-            beam = caption_image(params, state.config, grid.grid, args.beam)
-        top = beam[0]
-        if not np.isfinite(top.logprob):
-            raise tr.TrainingDiverged(state.step, {"image": grid.image_id,
-                                                   "logprob": top.logprob})
-        rows.append({"id": grid.image_id,
-                     "caption": detokenize_ids(top.ids, vocab),
-                     "logprob": top.logprob})
-    out = Path(args.out)
-    with open(out, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    write_manifest(str(out) + ".manifest.json", "caption",
+    with _open_out(args.out) as fh:
+        for grid in grids:
+            with _config_values():
+                top = caption_image(params, state.config, grid.grid, args.beam)[0]
+            if not np.isfinite(top.logprob):
+                raise tr.TrainingDiverged(state.step, {"image": grid.image_id,
+                                                       "logprob": top.logprob})
+            fh.write(json.dumps({"id": grid.image_id, "caption": detokenize_ids(top.ids, vocab),
+                                 "logprob": top.logprob}, sort_keys=True) + "\n")
+    write_manifest(args.out + ".manifest.json", "caption",
                    {"checkpoint": args.checkpoint, "features": args.features,
                     "model": args.model, "beam": args.beam},
                    state.seed, state.step, state.step, {"source": args.checkpoint},
-                   None, [str(out)], started)
+                   None, [args.out], started)
     return EXIT_OK
 
 
@@ -404,13 +407,13 @@ def cmd_evaluate(args) -> int:
         references.append(refs[image_id])
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
-    scores = metrics.evaluate_all(candidates, references)
-    scores["num_images"] = len(candidates)
-    out = Path(args.out)
-    out.write_text(json.dumps(scores, indent=2, sort_keys=True) + "\n")
-    write_manifest(str(out) + ".manifest.json", "evaluate",
+    with _open_out(args.out) as fh:
+        scores = metrics.evaluate_all(candidates, references)
+        scores["num_images"] = len(candidates)
+        fh.write(json.dumps(scores, indent=2, sort_keys=True) + "\n")
+    write_manifest(args.out + ".manifest.json", "evaluate",
                    {"candidates": args.candidates, "references": args.references},
-                   None, None, None, {}, scores, [str(out)], started)
+                   None, None, None, {}, scores, [args.out], started)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ result for its i-th image or sequence alone, up to float rounding.
 
 import functools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +49,6 @@ class ModelConfig:
             raise ValueError(f"num_memory_slots must be >= 0, got {self.num_memory_slots}")
         if self.vocab_size < 4:
             raise ValueError(f"vocab_size must cover the reserved tokens, got {self.vocab_size}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

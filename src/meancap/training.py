@@ -10,7 +10,7 @@ uninterrupted one.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,10 +89,12 @@ class TrainState:
             raise ValueError("online and target parameter name sets differ")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
+        if not self.lambda_kd >= 0.0:
+            raise ValueError(f"lambda_kd must be >= 0, got {self.lambda_kd}")
 
     @classmethod
-    def create(cls, config: ModelConfig, seed: int, momentum: float = 0.999,
-               lambda_kd: float = 0.1, dtype=np.float32) -> "TrainState":
+    def create(cls, config: ModelConfig, seed: int, dtype=np.float32, **hyper) -> "TrainState":
+        """Fresh models; ``hyper`` may set momentum and lambda_kd."""
         online = init_params(config, seed, dtype)
         return cls(
             config=config,
@@ -100,9 +102,8 @@ class TrainState:
             target=copy_params(online),  # the target starts as an exact copy
             m={n: np.zeros_like(p.data) for n, p in online.items()},
             v={n: np.zeros_like(p.data) for n, p in online.items()},
-            momentum=momentum,
-            lambda_kd=lambda_kd,
             seed=seed,
+            **hyper,
         )
 
     def zero_grads(self) -> None:
@@ -193,6 +194,10 @@ class ScstConfig:
             raise ValueError(f"unknown pairing strategy {self.strategy!r}; pick from {PAIRING_STRATEGIES}")
         if self.beam_size < 2:
             raise ValueError("beam_size must be >= 2: with one hypothesis the baseline removes all signal")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.lambda_kd >= 0.0:
+            raise ValueError(f"lambda_kd must be >= 0, got {self.lambda_kd}")
 
 
 def advantage(rewards) -> list:
@@ -325,12 +330,9 @@ class LoopConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {self.warmup}")
-        if self.val_beam < 1:
-            raise ValueError(f"val_beam must be >= 1, got {self.val_beam}")
+        for name in ("batch_size", "warmup", "val_beam"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _select_images(samples, batch_size: int, seed: int, step: int) -> list:
@@ -382,9 +384,9 @@ def _append_log(fh, record: dict) -> None:
 
 
 def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
-                        best: dict = None, extra: dict = None) -> Checkpoint:
+                        best: dict = None) -> Checkpoint:
     return Checkpoint(
-        config=state.config.to_dict(),
+        config=asdict(state.config),
         vocab_tokens=list(vocab.tokens),
         vocab_merges=list(vocab.merges),
         step=state.step,
@@ -400,13 +402,12 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
             "adam_v": dict(state.v),
         },
         best=best,
-        extra=extra or {},
     )
 
 
 def state_from_checkpoint(ckpt: Checkpoint):
     """Rebuild (state, vocab) from a loaded checkpoint."""
-    config = ModelConfig.from_dict(ckpt.config)
+    config = ModelConfig(**ckpt.config)
     vocab = Vocabulary(list(ckpt.vocab_tokens), [tuple(m) for m in ckpt.vocab_merges])
     state = TrainState(
         config=config,
@@ -424,7 +425,11 @@ def state_from_checkpoint(ckpt: Checkpoint):
 
 
 def prepare_for_scst(state: TrainState, scst: ScstConfig) -> None:
-    """Stage transition: fresh optimizer moments for the new objective."""
+    """Stage transition: fresh optimizer moments for the new objective.
+
+    Only this resets ``adam_t`` and only ``_update`` advances it, together
+    with ``step``, so an SCST stage began at ``step - adam_t``.
+    """
     state.adam_t = 0
     state.m = {n: np.zeros_like(a) for n, a in state.m.items()}
     state.v = {n: np.zeros_like(a) for n, a in state.v.items()}
@@ -432,7 +437,7 @@ def prepare_for_scst(state: TrainState, scst: ScstConfig) -> None:
 
 
 def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabulary,
-               loop: LoopConfig, best: dict, extra: dict) -> dict:
+               loop: LoopConfig, best: dict) -> dict:
     """The loop both stages share, from state.step + 1 up to loop.steps.
 
     ``step(number)`` makes one optimizer step and returns its log record
@@ -446,7 +451,7 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
         if loop.ckpt_dir is None:
             return None
         path = f"{loop.ckpt_dir}/{name}"
-        save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best, extra))
+        save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best))
         return path
 
     def validate():
@@ -497,12 +502,11 @@ def train_xe(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
         report = xe_step(state, batch, lr, rng_online, rng_target)
         return {"lr": lr, "reward_mean": None, "baseline": None, **report}
 
-    return _run_stage(state, "xe", step, val_samples, vocab, loop, best, None)
+    return _run_stage(state, "xe", step, val_samples, vocab, loop, best)
 
 
 def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
-               scst: ScstConfig, loop: LoopConfig, best: dict = None,
-               extra: dict = None) -> dict:
+               scst: ScstConfig, loop: LoopConfig, best: dict = None) -> dict:
     """Self-critical stage; rewards use document frequencies of the
     training references, validation uses the held-out ones."""
     if not train_samples:
@@ -518,4 +522,4 @@ def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
         report = scst_step(state, batch, scst, df, vocab, embedder)
         return {"lr": scst.learning_rate, "xe_loss": None, **report}
 
-    return _run_stage(state, "scst", step, val_samples, vocab, loop, best, extra)
+    return _run_stage(state, "scst", step, val_samples, vocab, loop, best)

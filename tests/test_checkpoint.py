@@ -38,7 +38,6 @@ def _make_checkpoint(rng):
         lambda_kd=0.1,
         groups=groups,
         best={"step": 10, "cider_target": 0.5},
-        extra={"stage_start": 0},
     )
 
 
@@ -55,7 +54,6 @@ def test_round_trip_bit_exact(tmp_path):
     assert (back.step, back.adam_t, back.seed) == (17, 12, 5)
     assert (back.stage, back.momentum, back.lambda_kd) == ("xe", 0.999, 0.1)
     assert back.best == ckpt.best
-    assert back.extra == ckpt.extra
     assert set(back.groups) == set(ckpt.groups)
     for group in ckpt.groups:
         assert set(back.groups[group]) == set(ckpt.groups[group])
@@ -135,24 +133,32 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["last.ckpt"]  # no temporary file left behind
 
 
-def test_header_with_retired_use_ema_key_loads(tmp_path):
-    """Checkpoints written while the header still carried "use_ema" load."""
-    path = tmp_path / "old.ckpt"
-    ckpt = _make_checkpoint(np.random.default_rng(8))
-    save_checkpoint(path, ckpt)
-    blob = path.read_bytes()
+def with_header_keys(src, dst, **keys):
+    """Copy a checkpoint with header keys added, as an older writer left them."""
+    with open(src, "rb") as fh:
+        blob = fh.read()
     _, _, head_len = struct.unpack_from("<4sHI", blob, 0)
-    header = json.loads(blob[10:10 + head_len])
-    header["use_ema"] = True
+    header = dict(json.loads(blob[10:10 + head_len]), **keys)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + blob[10 + head_len:-4]
-    path.write_bytes(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head))
-                     + payload + struct.pack("<I", zlib.crc32(payload)))
-    back = load_checkpoint(path)
-    assert (back.step, back.momentum, back.extra) == (17, 0.999, ckpt.extra)
-    for group in ckpt.groups:
-        for name, arr in ckpt.groups[group].items():
-            assert back.groups[group][name].tobytes() == arr.tobytes()
+    with open(dst, "wb") as fh:
+        fh.write(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head))
+                 + payload + struct.pack("<I", zlib.crc32(payload)))
+    return str(dst)
+
+
+def test_header_with_retired_use_ema_key_loads(tmp_path):
+    """Checkpoints written while the header still carried "use_ema", or
+    "extra" with the SCST stage start, load."""
+    ckpt = _make_checkpoint(np.random.default_rng(8))
+    save_checkpoint(tmp_path / "new.ckpt", ckpt)
+    for retired in ({"use_ema": True}, {"extra": {"stage_start": 0}}):
+        back = load_checkpoint(with_header_keys(tmp_path / "new.ckpt", tmp_path / "old.ckpt",
+                                                **retired))
+        assert (back.step, back.adam_t, back.momentum, back.best) == (17, 12, 0.999, ckpt.best)
+        for group in ckpt.groups:
+            for name, arr in ckpt.groups[group].items():
+                assert back.groups[group][name].tobytes() == arr.tobytes()
 
 
 def corrupted_copies(blob: bytes):

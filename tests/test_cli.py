@@ -1,6 +1,7 @@
 """Command suite: determinism, the overfit smoke loop, exit codes."""
 
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from meancap import cli
 from meancap.checkpoint import load_checkpoint, save_checkpoint
+from test_checkpoint import with_header_keys
 
 
 def write_cfg(path, **kv):
@@ -124,30 +126,44 @@ def test_evaluate_perfect_match_is_bleu_one(overfit_run, tmp_path):
 
 
 def test_train_scst_runs_and_continues_step_count(overfit_run, tmp_path, capsys):
-    scst_cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
-                         out_dir=str(tmp_path / "scst"), steps=5, batch_size=4,
-                         strategy="all", beam_size=3, learning_rate=1e-4,
-                         lambda_kd=0.1, val_every=5, val_beam=3)
+    def scst(name, steps, source):
+        cfg = write_cfg(tmp_path / f"{name}.cfg", data_dir=str(overfit_run / "data"),
+                        out_dir=str(tmp_path / name), steps=steps, batch_size=4,
+                        strategy="all", beam_size=3, learning_rate=1e-4,
+                        lambda_kd=0.1, val_every=5, val_beam=3)
+        assert cli.main(["train-scst", cfg, source]) == 0
+        return read_manifest(tmp_path / name / "manifest.json")
+
     source = str(overfit_run / "xe" / "last.ckpt")
-    assert cli.main(["train-scst", scst_cfg, source]) == 0
-    m = read_manifest(tmp_path / "scst" / "manifest.json")
+    m = scst("scst", 5, source)
     assert (m["start_step"], m["end_step"]) == (400, 405)
     assert m["checkpoints"]["source"] == source
     assert m["final_validation"] is not None
-    ckpt = load_checkpoint(tmp_path / "scst" / "last.ckpt")
-    assert ckpt.stage == "scst" and ckpt.extra["stage_start"] == 400
+    last = tmp_path / "scst" / "last.ckpt"
+    ckpt = load_checkpoint(last)
+    assert ckpt.stage == "scst" and ckpt.step - ckpt.adam_t == 400
+
+    # steps count from the stage start, also for a header that still
+    # carries the stage start, as checkpoints once did
+    older = with_header_keys(last, tmp_path / "older.ckpt", extra={"stage_start": 400})
+    for name, resume in (("again", str(last)), ("older", older)):
+        m = scst(name, 7, resume)
+        assert (m["start_step"], m["end_step"]) == (405, 407)
+    assert ((tmp_path / "again" / "last.ckpt").read_bytes()
+            == (tmp_path / "older" / "last.ckpt").read_bytes())
 
 
-def test_train_scst_rejects_scst_checkpoint_without_stage_start(overfit_run, tmp_path, capsys):
+def test_train_scst_rejects_checkpoint_with_adam_t_past_step(overfit_run, tmp_path, capsys):
     ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")
-    ckpt.stage, ckpt.extra = "scst", {}
+    ckpt.stage, ckpt.adam_t = "scst", ckpt.step + 1
     path = tmp_path / "scst.ckpt"
     save_checkpoint(path, ckpt)
     cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
                     out_dir=str(tmp_path / "scst"), steps=1)
     assert cli.main(["train-scst", cfg, str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "data" and "stage_start" in err["detail"]
+    assert err["error"] == "data" and "adam_t" in err["detail"]
+    assert not (tmp_path / "scst").exists()
 
 
 def test_train_xe_takes_feature_dim_from_the_data(tmp_path):
@@ -193,16 +209,28 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("train-xe", dict(dropout_rate=-0.5)),
     ("train-xe", dict(max_length=1)),
     ("train-xe", dict(val_beam=1000, val_every=1)),
+    ("train-xe", dict(lambda_kd=-0.5)),
+    ("train-xe", dict(lambda_kd=-math.inf)),
+    ("train-xe", dict(lambda_kd=math.nan)),
     ("gen-data", dict(num_images=0)),
+    ("gen-data", dict(noise_sigma=math.nan)),
+    ("gen-data", dict(noise_sigma=math.inf)),
+    ("gen-data", dict(val_fraction=-math.inf)),
+    ("train-scst", dict(lambda_kd=-0.5)),
+    ("train-scst", dict(learning_rate=0.0)),
 ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
 def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, command, values):
+    source = []
     if command == "gen-data":
         kv = dict(GEN, out_dir=str(tmp_path / "data"))
+    elif command == "train-scst":
+        kv = dict(data_dir=str(overfit_run / "data"), out_dir=str(tmp_path / "scst"), steps=1)
+        source = [str(overfit_run / "xe" / "last.ckpt")]
     else:
         kv = dict(TINY_MODEL, seed=1, data_dir=str(overfit_run / "data"),
                   out_dir=str(tmp_path / "xe"), steps=2, batch_size=4)
     cfg = write_cfg(tmp_path / "run.cfg", **dict(kv, **values))
-    assert cli.main([command, cfg]) == 2
+    assert cli.main([command, cfg] + source) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
@@ -211,6 +239,40 @@ def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
                      str(overfit_run / "data" / "features.bin"),
                      "--beam", "4000", "--out", str(tmp_path / "c.jsonl")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_caption_and_evaluate_create_the_out_directory(overfit_run, tmp_path):
+    caps = tmp_path / "new" / "deeper" / "caps.jsonl"
+    assert cli.main(["caption", str(overfit_run / "xe" / "last.ckpt"),
+                     str(overfit_run / "data" / "features.bin"),
+                     "--beam", "2", "--out", str(caps)]) == 0
+    assert len(caps.read_text().splitlines()) == 10
+    assert (tmp_path / "new" / "deeper" / "caps.jsonl.manifest.json").exists()
+    scores = tmp_path / "other" / "scores.json"
+    assert cli.main(["evaluate", str(caps), str(overfit_run / "data" / "captions.jsonl"),
+                     "--out", str(scores)]) == 0
+    assert json.loads(scores.read_text())["num_images"] == 10
+
+
+def test_out_that_cannot_be_opened_exits_three_before_any_work(overfit_run, tmp_path, capsys,
+                                                               monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work began before --out was opened")
+
+    monkeypatch.setattr(cli, "caption_image", forbidden)
+    monkeypatch.setattr(cli.metrics, "evaluate_all", forbidden)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
+    cands.write_text('{"id": 1, "caption": "a dog"}\n')
+    refs.write_text('{"id": 1, "refs": ["a dog"]}\n')
+    for argv in (["caption", str(overfit_run / "xe" / "last.ckpt"),
+                  str(overfit_run / "data" / "features.bin"), "--out", str(taken)],
+                 ["evaluate", str(cands), str(refs), "--out", str(taken)],
+                 ["evaluate", str(cands), str(refs), "--out", str(cands / "under_a_file")]):
+        assert cli.main(argv) == 3, argv
+        assert json.loads(capsys.readouterr().err)["error"] == "data"
+    assert list(taken.iterdir()) == []
 
 
 def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
@@ -380,3 +442,50 @@ def test_config_parser_details(tmp_path):
     p.write_text("seed 1\n")
     with pytest.raises(cli.ConfigError, match="key = value"):
         cli.parse_config(p, cli._GEN_DATA_KEYS)
+
+    # a number past the float range is as non-finite as Infinity
+    for value in ("1e400", "-1" + "0" * 400, "Infinity"):
+        p.write_text(f"seed = 1\nout_dir = d\nnoise_sigma = {value}\n")
+        with pytest.raises(cli.ConfigError, match="finite"):
+            cli.parse_config(p, cli._GEN_DATA_KEYS)
+    p.write_text("seed = 1\nout_dir = d\nnoise_sigma = 0\n")
+    assert cli.parse_config(p, cli._GEN_DATA_KEYS)["noise_sigma"] == 0.0
+
+
+REQUIRED = "required"
+
+# every command's keys with their types and defaults, spelled out once here
+# so that a change to a library default cannot silently move a CLI default
+KEY_TABLES = {
+    "_GEN_DATA_KEYS": {
+        "seed": (int, REQUIRED), "out_dir": (str, REQUIRED), "num_images": (int, 200),
+        "min_objects": (int, 1), "max_objects": (int, 4), "refs_per_image": (int, 5),
+        "grid_size": (int, 9), "feature_dim": (int, 32), "noise_sigma": (float, 0.05),
+        "train_fraction": (float, 0.8), "val_fraction": (float, 0.1),
+        "test_fraction": (float, 0.1),
+    },
+    "_TRAIN_XE_KEYS": {
+        "seed": (int, REQUIRED), "data_dir": (str, REQUIRED), "out_dir": (str, REQUIRED),
+        "steps": (int, REQUIRED), "vocab_size": (int, 200), "batch_size": (int, 16),
+        "warmup": (int, 1000), "val_every": (int, 0), "val_beam": (int, 5),
+        "lambda_kd": (float, 0.1), "momentum": (float, 0.999), "model_dim": (int, 64),
+        "feedforward_dim": (int, 256), "num_heads": (int, 4), "num_encoder_layers": (int, 2),
+        "num_decoder_layers": (int, 2), "num_memory_slots": (int, 8),
+        "dropout_rate": (float, 0.1), "max_length": (int, 24), "mesh_enabled": (bool, False),
+    },
+    "_TRAIN_SCST_KEYS": {
+        "data_dir": (str, REQUIRED), "out_dir": (str, REQUIRED), "steps": (int, REQUIRED),
+        "batch_size": (int, 8), "strategy": (str, "best"), "beam_size": (int, 5),
+        "learning_rate": (float, 5e-6), "lambda_kd": (float, 0.1), "val_every": (int, 0),
+        "val_beam": (int, 5),
+    },
+}
+
+
+@pytest.mark.parametrize("table", sorted(KEY_TABLES))
+def test_config_keys_types_and_defaults_are_pinned(table):
+    got = {key: (want, REQUIRED if default is cli._REQUIRED else default)
+           for key, (want, default) in getattr(cli, table).items()}
+    assert got == KEY_TABLES[table]
+    # == takes 0 for 0.0 and False for 0: each default must also have its key's type
+    assert all(default == REQUIRED or type(default) is want for want, default in got.values())

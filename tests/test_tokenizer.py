@@ -1,9 +1,10 @@
 """Vocabulary learning, encode/decode round-trips, sequence invariants."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancap import tokenizer as tok
-from meancap.data import caption_corpus
+from meancap.data import COLORS, OBJECTS, TEMPLATES, caption_corpus, render_reference
 
 
 def test_reserved_ids_are_fixed():
@@ -90,3 +91,19 @@ def test_detokenize_ids_stops_at_eos():
     seq = tok.tokenize("a red ball", vocab)
     noisy = seq.ids[1:-1] + [tok.EOS_ID] + seq.ids[1:-1]
     assert tok.detokenize_ids(noisy, vocab) == "a red ball"
+
+
+@st.composite
+def _scenes(draw):
+    """A reference the template grammar can emit: pairs, an order, a template."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(COLORS), st.sampled_from(OBJECTS)),
+                          min_size=1, max_size=9))
+    order = draw(st.permutations(range(len(pairs))))
+    return render_reference(pairs, order, draw(st.integers(0, len(TEMPLATES) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenes(), st.integers(4, 200))
+def test_round_trip_over_the_template_grammar(text, size):
+    vocab = tok.build_vocab(caption_corpus(), size)
+    assert tok.detokenize_ids(tok.tokenize(text, vocab).ids, vocab) == text

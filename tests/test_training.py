@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import shutil
 
 import numpy as np
@@ -441,6 +442,16 @@ def test_scst_config_validation():
             tr.ScstConfig(strategy=unknown)
     with pytest.raises(ValueError, match="beam_size"):
         tr.ScstConfig(beam_size=1)
+    # a negative weight would switch distillation off without a word
+    cfg = tiny_setup()[2]
+    for value in (-0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_kd"):
+            tr.ScstConfig(lambda_kd=value)
+        with pytest.raises(ValueError, match="lambda_kd"):
+            tr.TrainState.create(cfg, seed=0, lambda_kd=value)
+    for value in (0.0, -1e-4, math.nan):
+        with pytest.raises(ValueError, match="learning_rate"):
+            tr.ScstConfig(learning_rate=value)
 
 
 def test_xe_divergence_raises():
