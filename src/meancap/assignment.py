@@ -11,26 +11,29 @@ import numpy as np
 from .tokenizer import BOS_ID, EOS_ID, PAD_ID
 
 
-def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
-    """One optimal assignment (row -> column), no tie-break guarantees."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j (1-based)
-    way = np.zeros(n + 1, dtype=np.int64)
+def _solve_min_cost(cost) -> list:
+    """One optimal assignment (row -> column) of a square list of float rows,
+    no tie-break guarantees."""
+    n = len(cost)
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row matched to column j (1-based)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta, j1 = np.inf, -1
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = inf, -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -50,17 +53,17 @@ def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    perm = np.zeros(n, dtype=np.int64)
+    perm = [0] * n
     for j in range(1, n + 1):
         perm[p[j] - 1] = j - 1
     return perm
 
 
-def _total(cost: np.ndarray, perm) -> float:
+def _total(cost, perm) -> float:
     # always accumulate in row order so equal permutations give equal bits
     t = 0.0
     for i, j in enumerate(perm):
-        t += float(cost[i, j])
+        t += cost[i][j]
     return t
 
 
@@ -69,7 +72,9 @@ def hungarian(cost) -> np.ndarray:
 
     Among all optimal assignments, returns the lexicographically smallest
     permutation: each row takes the lowest column index that still allows an
-    optimal completion of the remaining rows.
+    optimal completion of the remaining rows.  The search runs on the matrix
+    as Python floats: the same float64 arithmetic, without numpy's per-element
+    overhead.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -78,7 +83,8 @@ def hungarian(cost) -> np.ndarray:
         raise ValueError("cost matrix is empty")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
-    n = cost.shape[0]
+    cost = cost.tolist()
+    n = len(cost)
     chosen = []
     free_cols = list(range(n))
     for i in range(n):
@@ -87,9 +93,8 @@ def hungarian(cost) -> np.ndarray:
             rest_cols = [x for x in free_cols if x != c]
             candidate = chosen + [c]
             if rest_cols:
-                sub = cost[np.ix_(range(i + 1, n), rest_cols)]
-                sub_perm = _solve_min_cost(sub)
-                candidate += [rest_cols[j] for j in sub_perm]
+                sub = [[row[x] for x in rest_cols] for row in cost[i + 1:]]
+                candidate += [rest_cols[j] for j in _solve_min_cost(sub)]
             totals[c] = _total(cost, candidate)
         best = min(totals.values())
         pick = min(c for c, t in totals.items() if t == best)

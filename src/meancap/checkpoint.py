@@ -9,6 +9,7 @@ is self-contained.
 """
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -95,15 +96,25 @@ def load_checkpoint(path) -> Checkpoint:
     actual = zlib.crc32(payload)
     if crc != actual:
         raise ValueError(f"checkpoint checksum mismatch: stored {crc:#010x}, computed {actual:#010x}")
-    header = json.loads(payload[:head_len].decode("utf-8"))
+    try:
+        header = json.loads(payload[:head_len].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint header nests too deeply") from None
     offset = head_len
     groups = {}
     for group in sorted(header["groups"]):
         params = {}
         for name, shape, dtype_str in header["groups"][group]:
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape)) if shape else 1
+            # the listing is outside input: sizes are checked before numpy sees them
+            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"checkpoint parameter {name!r} has shape {shape!r}")
+            dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+            if dtype is None or dtype.kind != "f":
+                raise ValueError(f"checkpoint parameter {name!r} has dtype {dtype_str!r}, not a float")
+            count = math.prod(shape)
             size = count * dtype.itemsize
+            if offset + size > len(payload):
+                raise ValueError(f"checkpoint payload ends inside parameter {name!r}")
             arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
             params[name] = arr.reshape(shape).copy()
             offset += size

@@ -211,10 +211,22 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built with, None where unknown."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_manifest(path, command: str, config: dict, seed, start_step, end_step,
                    checkpoints: dict, final_validation, outputs, started_at: str) -> None:
-    """One manifest per run; timestamps live here and nowhere else."""
+    """One manifest per run; timestamps live here and nowhere else.  The numpy
+    and BLAS builds are recorded too: float results may differ between them."""
     manifest = {
+        "numpy": np.__version__,
+        "blas": _blas(),
         "command": command,
         "config": config,
         "seed": seed,
@@ -356,6 +368,9 @@ def cmd_caption(args) -> int:
         grids = D.read_features(args.features)
     except (OSError, ValueError) as exc:
         raise DataError(str(exc)) from exc
+    if grids and grids[0].grid.shape[1] != state.config.feature_dim:
+        raise DataError(f"{args.features} has {grids[0].grid.shape[1]} features per cell, "
+                        f"the model takes {state.config.feature_dim}")
     params = state.online if args.model == "online" else state.target
     if args.beam < 1:
         raise ConfigError(f"--beam must be >= 1, got {args.beam}")
@@ -394,7 +409,7 @@ def cmd_evaluate(args) -> int:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
             raise DataError(f"{args.candidates}:{line_no}: not valid JSON: {exc}") from exc
         if (not isinstance(row, dict) or not D.is_image_id(row.get("id"))
                 or not isinstance(row.get("caption"), str)):
@@ -408,7 +423,10 @@ def cmd_evaluate(args) -> int:
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
     with _open_out(args.out) as fh:
-        scores = metrics.evaluate_all(candidates, references)
+        try:
+            scores = metrics.evaluate_all(candidates, references)
+        except ValueError as exc:  # references with no words leave CIDEr-D no corpus
+            raise DataError(f"{args.references}: {exc}") from exc
         scores["num_images"] = len(candidates)
         fh.write(json.dumps(scores, indent=2, sort_keys=True) + "\n")
     write_manifest(args.out + ".manifest.json", "evaluate",

@@ -202,6 +202,8 @@ def read_features(path) -> list:
         raise ValueError(f"bad magic at offset 0: expected {FEATURE_MAGIC!r}, got {magic!r}")
     if version != FEATURE_VERSION:
         raise ValueError(f"unsupported feature file version {version}")
+    if min(g, d, count) == 0:  # write_features makes no such file
+        raise ValueError(f"feature file holds {count} grids of {g} x {d}; none may be empty")
     record_size = 8 + g * d * 4
     expected = _HEADER.size + count * record_size + 4
     if len(blob) != expected:
@@ -240,7 +242,7 @@ def read_captions(path) -> dict:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"captions line {line_no} is not valid JSON: {exc}") from exc
             if not isinstance(row, dict) or not is_image_id(row.get("id")):
                 raise ValueError(f"captions line {line_no} needs an object with an integer id")

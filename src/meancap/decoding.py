@@ -53,14 +53,16 @@ def beam_search(expand, k: int, max_length: int) -> list:
         # a single hypothesis can propose at most every token; the beam
         # itself may be wider than the vocabulary (enumeration regime)
         best = (-logp).argsort(axis=-1, kind="stable")[:, :k]
-        best_logp = np.take_along_axis(logp, best, axis=-1).tolist()
-        # (-logprob, token, hypothesis index, live row); frozen ones use token -1
+        best_logp = logp[np.arange(len(live))[:, None], best].tolist()
+        # (-logprob, token, hypothesis index, live row); frozen ones use token -1,
+        # so no two candidates share a (token, hypothesis) pair and sorting
+        # whole tuples never reaches the live row
         candidates = [(-h.logprob, -1, i, None) for i, h in enumerate(beam)
                       if h.finished or len(h.ids) >= max_length]
         for r, (i, toks) in enumerate(zip(live, best.tolist())):
             base = beam[i].logprob
             candidates += [(-(base + lp), tok, i, r) for tok, lp in zip(toks, best_logp[r])]
-        candidates.sort(key=lambda c: c[:3])
+        candidates.sort()
         survivors = []
         for neg, tok, i, r in candidates[:k]:
             h = beam[i]

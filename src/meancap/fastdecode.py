@@ -14,11 +14,32 @@ the stacked rows again.  The arithmetic is the model's own; results match
 equivalence tests pin down.
 """
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
 from .model import NEG_INF, ModelConfig, cross_memory, decode_layers
 from .tokenizer import BOS_ID
+
+# distinct prefix-length tuples whose block layout is kept; a beam search
+# meets only a few, most of them one length repeated up to the beam width
+LAYOUT_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _block_layout(lengths: tuple, dtype):
+    """Block mask and row order of one pass over prefixes whose parents hold
+    ``lengths`` rows: key rows are the parents' rows, stacked, then one new
+    row per prefix.  The mask lets each new row see its own parent's rows and
+    itself; the stable order groups each prefix's rows, past before new, and
+    ``ends[i]`` closes prefix i's group.  Read-only, shared between calls."""
+    ids = np.arange(len(lengths))
+    owner = np.concatenate([np.repeat(ids, lengths), ids])  # the prefix each key row belongs to
+    mask = np.where(owner == ids[:, None], 0.0, NEG_INF).astype(dtype)
+    order = np.argsort(owner, kind="stable")
+    mask.flags.writeable = order.flags.writeable = False
+    return mask, order, np.cumsum(np.asarray(lengths) + 1).tolist()
 
 
 class FastDecoder:
@@ -33,7 +54,7 @@ class FastDecoder:
     def expand(self, prefixes) -> np.ndarray:
         prefixes = [tuple(p) for p in prefixes]
         self._fill(prefixes)
-        return np.stack([self._cache[p][1] for p in prefixes])
+        return np.array([self._cache[p][1] for p in prefixes])
 
     def _fill(self, prefixes) -> None:
         missing = [p for p in dict.fromkeys(prefixes) if p not in self._cache]
@@ -51,12 +72,13 @@ class FastDecoder:
         parents = [self._cache[p[:-1]][0] for p in prefixes if len(p) > 1]
         past = [T.Tensor(np.concatenate([rows[j] for rows in parents]))
                 for j in range(self.config.num_decoder_layers)] if parents else None
-        lengths = [len(p) - 1 for p in prefixes]
-        ids = np.arange(len(prefixes))
-        owner = np.concatenate([np.repeat(ids, lengths), ids])  # the prefix each key row belongs to
-        mask = np.where(owner == ids[:, None], 0.0, NEG_INF).astype(self.params["embed.tokens"].dtype)
+        lengths = tuple(len(p) - 1 for p in prefixes)
+        mask, order, ends = _block_layout(lengths, self.params["embed.tokens"].dtype)
         with T.no_grad():
             logits, rows = decode_layers([p[-1] for p in prefixes], lengths, self.memory,
                                          self.params, self.config, mask, past=past)
-        for i, p in enumerate(prefixes):
-            self._cache[p] = ([layer.data[owner == i] for layer in rows], logits.data[i])
+        grouped = [layer.data[order] for layer in rows]
+        start = 0
+        for i, (p, end) in enumerate(zip(prefixes, ends)):
+            self._cache[p] = ([g[start:end] for g in grouped], logits.data[i])
+            start = end

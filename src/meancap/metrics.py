@@ -5,6 +5,7 @@ reward, so the scoring path is pure and deterministic: same inputs, same
 bits.  Text is normalised by lowercasing and whitespace splitting only.
 """
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -13,6 +14,9 @@ MAX_N = 4
 ROUGE_BETA = 1.2
 CIDER_SIGMA = 6.0
 CIDER_SCALE = 10.0
+# reference sets whose tf-idf vectors ``reward`` keeps: one SCST step scores
+# every hypothesis of a batch's images against the same few sets
+REFERENCE_CACHE_SIZE = 32
 
 
 @dataclass
@@ -143,7 +147,12 @@ class DocumentFrequency:
             self.df.update(seen)
 
     def idf(self, gram) -> float:
-        return math.log(self.num_images / max(1.0, self.df[gram]))
+        return math.log(self.num_images / max(1.0, self.df.get(gram, 0)))
+
+
+def _check_df(df) -> None:
+    if df is None or not df.df:
+        raise ValueError("CIDEr-D needs a document-frequency table built from a reference corpus")
 
 
 def _tfidf_vectors(tokens, df: DocumentFrequency):
@@ -155,39 +164,57 @@ def _tfidf_vectors(tokens, df: DocumentFrequency):
     return vecs, norms
 
 
-def _cider_image(cand_toks, refs_toks, df: DocumentFrequency) -> float:
+def _reference_vectors(refs, df: DocumentFrequency) -> tuple:
+    """(length, tf-idf vectors, norms) of each reference, in order."""
+    out = []
+    for ref in refs:
+        toks = metric_tokens(ref)
+        out.append((len(toks), *_tfidf_vectors(toks, df)))
+    return tuple(out)
+
+
+# keyed by the references and the table's identity; bounded, so it never grows with the corpus
+_cached_reference_vectors = functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)(_reference_vectors)
+
+
+def _cider_image(cand_toks, ref_vectors, df: DocumentFrequency) -> float:
     cand_vecs, cand_norms = _tfidf_vectors(cand_toks, df)
     totals = [0.0] * MAX_N
-    for ref_toks in refs_toks:
-        ref_vecs, ref_norms = _tfidf_vectors(ref_toks, df)
-        delta = float(len(cand_toks) - len(ref_toks))
+    for ref_len, ref_vecs, ref_norms in ref_vectors:
+        delta = float(len(cand_toks) - ref_len)
         penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
         for i in range(MAX_N):
             if cand_norms[i] == 0.0 or ref_norms[i] == 0.0:
                 continue
-            # candidate counts clipped by the reference before the dot product
-            num = sum(min(v, ref_vecs[i].get(g, 0.0)) * ref_vecs[i].get(g, 0.0)
-                      for g, v in cand_vecs[i].items())
+            # candidate counts clipped by the reference before the dot product;
+            # n-grams the reference lacks add exact zeros, so they are skipped
+            ref = ref_vecs[i]
+            num = sum(min(v, ref[g]) * ref[g] for g, v in cand_vecs[i].items() if g in ref)
             totals[i] += penalty * num / (cand_norms[i] * ref_norms[i])
-    per_n = [t / len(refs_toks) for t in totals]
+    per_n = [t / len(ref_vectors) for t in totals]
     return CIDER_SCALE * sum(per_n) / MAX_N
 
 
 def cider_d(candidates, references, df: DocumentFrequency) -> Score:
     """Consensus metric: tf-idf cosine with count clipping and length penalty."""
     _check_aligned(candidates, references)
-    if df is None or not df.df:
-        raise ValueError("CIDEr-D needs a document-frequency table built from a reference corpus")
-    per_image = [
-        _cider_image(metric_tokens(c), [metric_tokens(r) for r in refs], df)
-        for c, refs in zip(candidates, references)
-    ]
+    _check_df(df)
+    per_image = [_cider_image(metric_tokens(c), _reference_vectors(refs, df), df)
+                 for c, refs in zip(candidates, references)]
     return Score("CIDEr-D", sum(per_image) / len(per_image), per_image)
 
 
 def reward(hypothesis_text: str, refs, df: DocumentFrequency) -> float:
-    """Sequence-level reward: this image's CIDEr-D against its references."""
-    return _cider_image(metric_tokens(hypothesis_text), [metric_tokens(r) for r in refs], df)
+    """Sequence-level reward: this image's CIDEr-D against its references.
+
+    The references' vectors are built once per (references, table) pair and
+    reused for every hypothesis scored against them.
+    """
+    if not refs:
+        raise ValueError("every image needs at least one reference")
+    _check_df(df)
+    return _cider_image(metric_tokens(hypothesis_text),
+                        _cached_reference_vectors(tuple(refs), df), df)
 
 
 def evaluate_all(candidates, references, df: DocumentFrequency = None) -> dict:

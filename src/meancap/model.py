@@ -10,7 +10,7 @@ result for its i-th image or sequence alone, up to float rounding.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,11 @@ class ModelConfig:
     mesh_enabled: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # a checkpoint header is outside input
+            value = getattr(self, f.name)
+            allowed = (int, float) if f.type is float else f.type  # an integer is a fine float
+            if not isinstance(value, allowed) or isinstance(value, bool) != (f.type is bool):
+                raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         for name in ("model_dim", "num_heads", "num_encoder_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -156,14 +161,16 @@ def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def sinusoidal_encoding(length: int, d: int) -> np.ndarray:
-    """The (length, d) positional table, built once per shape; read-only."""
+def sinusoidal_encoding(length: int, d: int, dtype=np.float64) -> np.ndarray:
+    """The (length, d) positional table, computed in float64 and cast to
+    ``dtype``, built once per shape and dtype; read-only."""
     pos = np.arange(length)[:, None].astype(np.float64)
     dim = np.arange(0, d, 2).astype(np.float64)
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((length, d))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe = pe.astype(dtype, copy=False)
     pe.flags.writeable = False
     return pe
 
@@ -239,7 +246,7 @@ def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mas
         raise ValueError(f"position {last} must stay under max_length {config.max_length}")
     d = config.model_dim
     x = T.scale(T.embedding(params["embed.tokens"], token_ids), math.sqrt(d))
-    pe = sinusoidal_encoding(last + 1, d)[positions].astype(x.dtype)
+    pe = sinusoidal_encoding(last + 1, d, x.dtype)[positions]
     x = T.add(x, T.Tensor(pe))
     x = T.dropout(x, config.dropout_rate, rng, training)
     rows = []

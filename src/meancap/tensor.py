@@ -277,9 +277,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     without its per-call Python overhead.
     """
     d = x.data.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) / d
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -291,7 +291,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            term = gx - gx.sum(axis=-1, keepdims=True) / d - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / d
+            term = (gx - np.add.reduce(gx, axis=-1, keepdims=True) / d
+                    - xhat * np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
             x.accumulate_grad(term * inv)
 
     return _result(out, (x, gain, bias), bw)
@@ -334,32 +335,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Ten
     c = 1.0 / math.sqrt(d // num_heads)
 
     def split(a):  # (..., t, d) -> (..., heads, t, d / heads), a view
-        return np.swapaxes(a.reshape(*a.shape[:-1], num_heads, d // num_heads), -3, -2)
+        return a.reshape(*a.shape[:-1], num_heads, d // num_heads).swapaxes(-3, -2)
 
     def join(a):  # (..., heads, t, d / heads) -> (..., t, d)
-        return np.swapaxes(a, -3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
+        return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
 
-    qh, kt, vh = split(q.data), np.swapaxes(split(k.data), -1, -2), split(v.data)
+    qh, kt, vh = split(q.data), split(k.data).swapaxes(-1, -2), split(v.data)
     scores = (qh @ kt) * c
     if mask is not None:
         scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     att = p @ vh
 
     def bw(g):
         ga = _copied(att, split(g))
         if v.requires_grad:
-            v.accumulate_grad(join(_unbroadcast(np.swapaxes(p, -1, -2) @ ga, vh.shape)))
+            v.accumulate_grad(join(_unbroadcast(p.swapaxes(-1, -2) @ ga, vh.shape)))
         if not (q.requires_grad or k.requires_grad):
             return
-        gp = _copied(p, _unbroadcast(ga @ np.swapaxes(vh, -1, -2), p.shape))
-        gs = _copied(scores, p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c)
+        gp = _copied(p, _unbroadcast(ga @ vh.swapaxes(-1, -2), p.shape))
+        gs = _copied(scores, p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * c)
         if k.requires_grad:
-            gk = _unbroadcast(np.swapaxes(qh, -1, -2) @ gs, kt.shape)
-            k.accumulate_grad(join(np.swapaxes(gk, -1, -2)))
+            gk = _unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape)
+            k.accumulate_grad(join(gk.swapaxes(-1, -2)))
         if q.requires_grad:
-            q.accumulate_grad(join(_unbroadcast(gs @ np.swapaxes(kt, -1, -2), qh.shape)))
+            q.accumulate_grad(join(_unbroadcast(gs @ kt.swapaxes(-1, -2), qh.shape)))
 
     return _result(join(att), (q, k, v), bw)
 
@@ -399,9 +400,9 @@ def _prepare_targets(logits: Tensor, target_ids, mask):
 def _row_log_softmax(data: np.ndarray):
     """Log-softmax over the last axis of a plain array, no graph; beam
     search scores its expansions with it too."""
-    m = data.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(data, axis=-1, keepdims=True)
     shifted = data - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted - lse
 
 

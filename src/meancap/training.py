@@ -20,7 +20,7 @@ from .assignment import BagEmbedder, hungarian, pairing_cost
 from .checkpoint import Checkpoint, save_checkpoint
 from .decoding import beam_search, caption_image
 from .fastdecode import FastDecoder
-from .model import ModelConfig, copy_params, decode_logits, encode, init_params
+from .model import ModelConfig, copy_params, decode_logits, encode, init_params, param_shapes
 from .rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
 from .tokenizer import EOS_ID, PAD_ID, Vocabulary, detokenize_ids, tokenize
 
@@ -406,9 +406,20 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
 
 
 def state_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild (state, vocab) from a loaded checkpoint."""
+    """Rebuild (state, vocab) from a loaded checkpoint; one whose parameters
+    or vocabulary do not fit its model config is a ValueError."""
     config = ModelConfig(**ckpt.config)
     vocab = Vocabulary(list(ckpt.vocab_tokens), [tuple(m) for m in ckpt.vocab_merges])
+    counters = (ckpt.step, ckpt.adam_t, ckpt.seed)
+    if any(type(n) is not int for n in counters) or min(ckpt.step, ckpt.adam_t) < 0:
+        raise ValueError(f"checkpoint step, adam_t and seed must be integers and the steps "
+                         f"non-negative, got {counters}")
+    if len(vocab.tokens) != config.vocab_size:
+        raise ValueError(f"{len(vocab.tokens)} vocabulary tokens for vocab_size {config.vocab_size}")
+    shapes = dict(param_shapes(config))
+    for group in ("online", "target", "adam_m", "adam_v"):
+        if {n: a.shape for n, a in ckpt.groups[group].items()} != shapes:
+            raise ValueError(f"checkpoint group {group} does not hold its config's parameters")
     state = TrainState(
         config=config,
         online={n: T.parameter(a.copy()) for n, a in ckpt.groups["online"].items()},

@@ -154,3 +154,111 @@ def test_hungarian_total_matches_scipy():
             assert sorted(perm.tolist()) == list(range(n))
             rows, cols = optimize.linear_sum_assignment(cost)
             assert abs(cost[np.arange(n), perm].sum() - cost[rows, cols].sum()) <= 1e-9
+
+
+# --- the numpy solver the list-based one replaced ----------------------------
+# Copied verbatim from the numpy-array implementation (only the names carry
+# an "oracle" prefix): the list-based solver must make exactly its choices.
+
+
+def oracle_solve_min_cost(cost: np.ndarray) -> np.ndarray:
+    """One optimal assignment (row -> column), no tie-break guarantees."""
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j (1-based)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta, j1 = np.inf, -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    perm = np.zeros(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        perm[p[j] - 1] = j - 1
+    return perm
+
+
+def oracle_total(cost: np.ndarray, perm) -> float:
+    # always accumulate in row order so equal permutations give equal bits
+    t = 0.0
+    for i, j in enumerate(perm):
+        t += float(cost[i, j])
+    return t
+
+
+def oracle_hungarian(cost) -> np.ndarray:
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if cost.size == 0:
+        raise ValueError("cost matrix is empty")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix contains non-finite entries")
+    n = cost.shape[0]
+    chosen = []
+    free_cols = list(range(n))
+    for i in range(n):
+        totals = {}
+        for c in free_cols:
+            rest_cols = [x for x in free_cols if x != c]
+            candidate = chosen + [c]
+            if rest_cols:
+                sub = cost[np.ix_(range(i + 1, n), rest_cols)]
+                sub_perm = oracle_solve_min_cost(sub)
+                candidate += [rest_cols[j] for j in sub_perm]
+            totals[c] = oracle_total(cost, candidate)
+        best = min(totals.values())
+        pick = min(c for c, t in totals.items() if t == best)
+        chosen.append(pick)
+        free_cols.remove(pick)
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def _one_ulp_apart(rng, cost):
+    """``cost`` with a random half of its entries moved one ulp up or down."""
+    moved = rng.random(cost.shape) < 0.5
+    toward = np.where(rng.random(cost.shape) < 0.5, np.inf, -np.inf)
+    return np.where(moved, np.nextafter(cost, toward), cost)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_list_solver_matches_the_numpy_solver_exactly(n):
+    rng = np.random.default_rng(n)
+    matrices = [np.full((n, n), 0.5), np.ones((n, n))]
+    for _ in range(12):
+        matrices.append(rng.random((n, n)) * rng.uniform(0.5, 2.0))
+        ties = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        matrices += [ties, _one_ulp_apart(rng, ties), _one_ulp_apart(rng, 1.0 - np.eye(n))]
+    for cost in matrices:
+        want = oracle_hungarian(cost)
+        got = A.hungarian(cost)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), cost
+        assert A._solve_min_cost(cost.tolist()) == oracle_solve_min_cost(cost).tolist()

@@ -185,5 +185,27 @@ def test_every_truncation_and_byte_flip_raises_value_error(tmp_path):
     assert cases == 4 * path.stat().st_size
 
 
+@pytest.mark.parametrize("part, value", [(1, [2 ** 63]), (1, [2 ** 70, 0]), (1, [-1, 6]),
+                                         (1, [4.0, 6]), (1, [True, 6]), (1, "46"),
+                                         (2, "|O"), (2, "V0"), (2, "<i8"), (2, 8), (2, [["a", "<f8"]])])
+def test_listing_with_impossible_shape_or_dtype_raises_value_error(tmp_path, part, value):
+    # the listing is outside input: no size or dtype reaches numpy unchecked
+    save_checkpoint(tmp_path / "run.ckpt", _make_checkpoint(np.random.default_rng(10)))
+    blob = (tmp_path / "run.ckpt").read_bytes()
+    groups = json.loads(blob[10:10 + struct.unpack_from("<I", blob, 6)[0]])["groups"]
+    groups["adam_m"][0][part] = value
+    with pytest.raises(ValueError):
+        load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "bad.ckpt", groups=groups))
+
+
+def test_header_nested_too_deeply_raises_value_error(tmp_path):
+    head = b"[" * 100000
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head))
+                     + head + struct.pack("<I", zlib.crc32(head)))
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_checkpoint(path)
+
+
 def test_magic_constant():
     assert CHECKPOINT_MAGIC == b"CMLC" and len(CHECKPOINT_MAGIC) == 4

@@ -1,9 +1,13 @@
 """Command suite: determinism, the overfit smoke loop, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meancap import cli
+from meancap import training as tr
 from meancap.checkpoint import load_checkpoint, save_checkpoint
+from meancap.data import caption_corpus, generate_synthetic_dataset, write_captions, write_features
+from meancap.model import ModelConfig
+from meancap.tokenizer import build_vocab
 from test_checkpoint import with_header_keys
 
 
@@ -310,14 +318,17 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
     cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
     good_cand, good_ref = '{"id": 1, "caption": "a dog"}', '{"id": 1, "refs": ["a dog"]}'
     for bad in ('{"id": "abc", "caption": "a dog"}', '{"id": null, "caption": "a dog"}', "5",
-                '{"id": 1.7, "caption": "a dog"}', '{"id": 1, "caption": 3}'):
+                '{"id": 1.7, "caption": "a dog"}', '{"id": 1, "caption": 3}', "[" * 100000,
+                "1" * 5000):
         cands.write_text(good_cand + "\n" + bad + "\n")
         refs.write_text(good_ref + "\n")
         assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
-    for bad in ('{"id": null, "refs": ["a dog"]}', '{"id": 1, "refs": 5}', "7"):
+    for bad in ('{"id": null, "refs": ["a dog"]}', '{"id": 1, "refs": 5}', "7", "[" * 100000):
         cands.write_text(good_cand + "\n")
         refs.write_text(good_ref + "\n" + bad + "\n")
         assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
+    refs.write_text('{"id": 1, "refs": [" "]}\n')  # no reference words: CIDEr-D has no corpus
+    assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
 
 
 def test_evaluate_non_utf8_candidates_exit_three(tmp_path, capsys):
@@ -489,3 +500,185 @@ def test_config_keys_types_and_defaults_are_pinned(table):
     assert got == KEY_TABLES[table]
     # == takes 0 for 0.0 and False for 0: each default must also have its key's type
     assert all(default == REQUIRED or type(default) is want for want, default in got.values())
+
+
+# ---------------------------------------------------------------------------
+# malformed input files: caption and evaluate exit 2 or 3, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """Bytes of an untrained tiny checkpoint, a two-image feature file and
+    its captions: cheap inputs for caption and evaluate."""
+    base = tmp_path_factory.mktemp("tiny_files")
+    samples = generate_synthetic_dataset(seed=2, num_images=2, objects_per_image=1,
+                                         refs_per_image=2, grid_size=2, feature_dim=4)
+    vocab = build_vocab(caption_corpus(), 40)
+    config = ModelConfig(vocab_size=len(vocab.tokens), feature_dim=4, model_dim=8,
+                         feedforward_dim=8, num_heads=2, num_encoder_layers=1,
+                         num_decoder_layers=1, num_memory_slots=1, max_length=4)
+    save_checkpoint(base / "tiny.ckpt",
+                    tr.state_to_checkpoint(tr.TrainState.create(config, seed=1), vocab, "xe"))
+    write_features(base / "features.bin", [s.features for s in samples])
+    write_captions(base / "captions.jsonl", samples)
+    return _Files({name: (base / name).read_bytes()
+                   for name in ("tiny.ckpt", "features.bin", "captions.jsonl")})
+
+
+class _Files(dict):
+    def __repr__(self):  # keeps hypothesis reports short
+        return f"<{', '.join(self)}>"
+
+
+def _run_cli(files: dict, argv: list):
+    """Exit code and stderr of ``meancap`` over ``files`` written to a fresh
+    directory; {name} in ``argv`` names a file there.  An exception escaping
+    ``main`` is the traceback the command must never end with."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, content in files.items():
+            (Path(d) / name).write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([a.format(d) for a in argv])
+    return code, err.getvalue()
+
+
+def _assert_reported(code, err, allow_ok=False):
+    if allow_ok and code == 0:
+        return
+    assert code in (2, 3), (code, err)
+    assert json.loads(err.strip().splitlines()[-1])["error"] == ("config" if code == 2 else "data")
+
+
+_CAPTION = ["caption", "{}/tiny.ckpt", "{}/features.bin", "--beam", "2", "--out", "{}/c.jsonl"]
+_EVALUATE = ["evaluate", "{}/cands.jsonl", "{}/captions.jsonl", "--out", "{}/s.json"]
+
+
+@st.composite
+def _damaged(draw, content: bytes) -> bytes:
+    """``content`` cut short, with one byte changed, or with bytes appended:
+    the checksums and length fields of both binary formats catch each."""
+    kind = draw(st.sampled_from(["cut", "flip", "append"]))
+    if kind == "cut":
+        return content[:draw(st.integers(0, len(content) - 1))]
+    if kind == "append":
+        return content + draw(st.binary(min_size=1, max_size=8))
+    at = draw(st.integers(0, len(content) - 1))
+    return content[:at] + bytes([content[at] ^ draw(st.integers(1, 255))]) + content[at + 1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["tiny.ckpt", "features.bin"]))
+def test_caption_of_damaged_files_exits_three(tiny_files, data, name):
+    files = dict(tiny_files)
+    files[name] = data.draw(_damaged(files[name]))
+    _assert_reported(*_run_cli(files, _CAPTION))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 2 ** 70) | st.text(max_size=4)
+                     | st.floats(-4.0, 4.0) | st.just(math.nan),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+def _header(content: bytes) -> dict:
+    (head_len,) = struct.unpack_from("<I", content, 6)
+    return json.loads(content[10:10 + head_len])
+
+
+def _edited(content: bytes, spot: tuple, value, drop=False) -> bytes:
+    """A checkpoint with the header entry at path ``spot`` set to ``value``,
+    or deleted, and its checksum redone."""
+    magic, version, head_len = struct.unpack_from("<4sHI", content)
+    header = _header(content)
+    *path, last = spot
+    entry = header
+    for key in path:
+        entry = entry[key]
+    if drop:
+        del entry[last]
+    else:
+        entry[last] = value
+    head = json.dumps(header).encode()
+    payload = head + content[10 + head_len:-4]
+    return (struct.pack("<4sHI", magic, version, len(head)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+# a parameter listing entry is [name, shape, dtype]
+_LISTING_PARTS = [_JSON, st.lists(st.integers(-2, 2 ** 70), max_size=3),
+                  st.sampled_from(["<f8", "<i4", "|O", "V4", "<f2", "x"]) | _JSON]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_caption_of_checkpoints_with_edited_headers_never_ends_in_a_traceback(tiny_files, data):
+    header = _header(tiny_files["tiny.ckpt"])
+    spots = ([(k,) for k in header if k not in ("best", "version")]
+             + [("config", k) for k in header["config"]] + [("vocab", "tokens"), ("vocab", "merges")]
+             + [("groups", g, i, part) for g, entries in header["groups"].items()
+                for i in range(len(entries)) for part in range(3)])
+    spot = data.draw(st.sampled_from(spots))
+    value = data.draw(_LISTING_PARTS[spot[3]] if spot[0] == "groups" else _JSON)
+    drop = len(spot) == 1 and data.draw(st.booleans())
+    files = dict(tiny_files, **{"tiny.ckpt": _edited(tiny_files["tiny.ckpt"], spot, value, drop)})
+    # an edit may leave a checkpoint the model can still use
+    _assert_reported(*_run_cli(files, _CAPTION), allow_ok=True)
+
+
+@pytest.mark.parametrize("spot, value", [
+    (("config", "num_heads"), True), (("config", "vocab_size"), 40.0),
+    (("config", "num_decoder_layers"), None), (("config", "feedforward_dim"), 16),
+    (("step",), "7"), (("adam_t",), -1), (("vocab", "tokens"), ["<pad>", "<bos>", "<eos>", "a"]),
+    (("groups", "target", 0, 0), "other.bias"), (("groups", "target", 0, 1), [2 ** 63])])
+def test_caption_of_checkpoint_that_does_not_fit_its_model_exits_three(tiny_files, spot, value):
+    files = dict(tiny_files, **{"tiny.ckpt": _edited(tiny_files["tiny.ckpt"], spot, value)})
+    code, err = _run_cli(files, _CAPTION)
+    assert code == 3 and json.loads(err)["error"] == "data", err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3))
+def test_caption_of_feature_grids_of_any_shape_never_ends_in_a_traceback(tiny_files, g, d, count):
+    records = b"".join(struct.pack("<Q", i) + np.ones(g * d, "<f4").tobytes() for i in range(count))
+    features = (struct.pack("<4sHIII", b"CMLF", 1, g, d, count) + records
+                + struct.pack("<I", zlib.crc32(records)))
+    code, err = _run_cli(dict(tiny_files, **{"features.bin": features}), _CAPTION)
+    # only a file of non-empty grids of the model's feature width can be captioned
+    _assert_reported(code, err, allow_ok=g > 0 and d == 4 and count > 0)
+
+
+_JSON_LINE = st.one_of(st.binary(max_size=30),
+                       _JSON.map(lambda v: json.dumps(v).encode()),
+                       st.fixed_dictionaries({"id": st.integers(0, 3) | _JSON, "caption": _JSON})
+                       .map(lambda v: json.dumps(v).encode()),
+                       st.fixed_dictionaries({"id": st.integers(0, 3) | _JSON, "refs": _JSON})
+                       .map(lambda v: json.dumps(v).encode()),
+                       st.sampled_from([b"[" * 100000, b"1" * 5000, b'{"id": 0, "caption": "\\ud800"}']))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["cands.jsonl", "captions.jsonl"]), st.lists(_JSON_LINE, min_size=1, max_size=3))
+def test_evaluate_of_malformed_caption_files_never_ends_in_a_traceback(tiny_files, name, lines):
+    files = dict(tiny_files)
+    files["cands.jsonl"] = b'{"id": 0, "caption": "a red ball"}\n'
+    files[name] = b"\n".join(lines) + b"\n"
+    # lines drawn as JSON may still form a valid file
+    _assert_reported(*_run_cli(files, _EVALUATE), allow_ok=True)
+
+
+def test_every_manifest_records_the_numpy_and_blas_builds(tiny_files, tmp_path):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    want = {"numpy": np.__version__, "blas": {"name": blas["name"], "version": blas["version"]}}
+    assert want["blas"]["name"] and want["blas"]["version"]
+    for name, content in tiny_files.items():
+        (tmp_path / name).write_bytes(content)
+    (tmp_path / "cands.jsonl").write_text('{"id": 0, "caption": "a red ball"}\n')
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(tmp_path / "data"),
+                                           **GEN)]) == 0
+    assert cli.main([a.format(tmp_path) for a in _CAPTION]) == 0
+    assert cli.main([a.format(tmp_path) for a in _EVALUATE]) == 0
+    for manifest in ("data/manifest.json", "c.jsonl.manifest.json", "s.json.manifest.json"):
+        got = read_manifest(tmp_path / manifest)
+        assert {k: got[k] for k in want} == want, manifest

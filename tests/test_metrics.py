@@ -254,6 +254,11 @@ def test_reward_is_pure_and_matches_cider():
 def test_error_paths():
     with pytest.raises(ValueError):
         M.bleu([], [], 4)
+    good = M.DocumentFrequency([["a"]])
+    with pytest.raises(ValueError, match="every image needs at least one reference"):
+        M.reward("a", [], good)
+    with pytest.raises(ValueError, match="CIDEr-D needs a document-frequency table"):
+        M.reward("a", ["a"], None)
     with pytest.raises(ValueError):
         M.bleu(["a"], [["a"], ["b"]], 4)
     with pytest.raises(ValueError):
@@ -270,3 +275,78 @@ def test_evaluate_all_reports_all_keys():
     cands, refs = random_corpus(np.random.default_rng(3))
     out = M.evaluate_all(cands, refs)
     assert set(out) == {"BLEU-1", "BLEU-2", "BLEU-3", "BLEU-4", "ROUGE-L", "CIDEr-D"}
+
+
+# --- the uncached reward ------------------------------------------------------
+# Copied verbatim from the implementation that rebuilt every reference's
+# vectors per hypothesis (only the names carry an "oracle" prefix, and idf is
+# the table's Counter lookup it used): the cached reward must equal it bit
+# for bit.
+
+
+def oracle_idf(df, gram) -> float:
+    return math.log(df.num_images / max(1.0, df.df[gram]))
+
+
+def oracle_tfidf_vectors(tokens, df):
+    vecs, norms = [], []
+    for n in range(1, M.MAX_N + 1):
+        vec = {g: c * oracle_idf(df, g) for g, c in M.ngram_counts(tokens, n).items()}
+        vecs.append(vec)
+        norms.append(math.sqrt(sum(v * v for v in vec.values())))
+    return vecs, norms
+
+
+def oracle_cider_image(cand_toks, refs_toks, df) -> float:
+    cand_vecs, cand_norms = oracle_tfidf_vectors(cand_toks, df)
+    totals = [0.0] * M.MAX_N
+    for ref_toks in refs_toks:
+        ref_vecs, ref_norms = oracle_tfidf_vectors(ref_toks, df)
+        delta = float(len(cand_toks) - len(ref_toks))
+        penalty = math.exp(-(delta * delta) / (2.0 * M.CIDER_SIGMA * M.CIDER_SIGMA))
+        for i in range(M.MAX_N):
+            if cand_norms[i] == 0.0 or ref_norms[i] == 0.0:
+                continue
+            # candidate counts clipped by the reference before the dot product
+            num = sum(min(v, ref_vecs[i].get(g, 0.0)) * ref_vecs[i].get(g, 0.0)
+                      for g, v in cand_vecs[i].items())
+            totals[i] += penalty * num / (cand_norms[i] * ref_norms[i])
+    per_n = [t / len(refs_toks) for t in totals]
+    return M.CIDER_SCALE * sum(per_n) / M.MAX_N
+
+
+def oracle_reward(text, refs, df) -> float:
+    return oracle_cider_image(M.metric_tokens(text), [M.metric_tokens(r) for r in refs], df)
+
+
+def test_reward_equals_the_uncached_reward_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        cands, refs = random_corpus(rng, max_images=4, max_refs=5)
+        df = M.DocumentFrequency(refs)
+        # each image scored against several hypotheses in turn, as an SCST
+        # step does: the later ones reuse the cached reference vectors
+        for image_refs in refs:
+            for text in cands + ["", "zebra", "zebra quokka the cat", "THE Cat sat sat sat"]:
+                assert M.reward(text, image_refs, df) == oracle_reward(text, image_refs, df)
+            # a list or a tuple of the same references is the same key
+            assert M.reward(cands[0], tuple(image_refs), df) == oracle_reward(cands[0], image_refs, df)
+
+
+def test_reward_cache_is_keyed_by_the_table_and_bounded():
+    refs = ["a red ball on the mat", "the red ball sits"]
+    # the same references inside two corpora give two idf tables
+    df_small = M.DocumentFrequency([refs, ["a blue cube"]])
+    df_large = M.DocumentFrequency([refs] + [["the red cube spins", "a ball"]] * 4)
+    texts = ["a red ball", "the ball", "red red mat", ""]
+    small = [M.reward(t, refs, df_small) for t in texts]
+    large = [M.reward(t, refs, df_large) for t in texts]
+    for _ in range(2):  # interleaved: a cache keyed by the references alone mixes them up
+        for t, want_small, want_large in zip(texts, small, large):
+            assert M.reward(t, refs, df_small) == want_small == oracle_reward(t, refs, df_small)
+            assert M.reward(t, refs, df_large) == want_large == oracle_reward(t, refs, df_large)
+    assert small[:3] != large[:3]
+    for i in range(2 * M.REFERENCE_CACHE_SIZE):
+        M.reward("a", [f"ref {i}"], df_small)
+    info = M._cached_reference_vectors.cache_info()
+    assert info.maxsize == M.REFERENCE_CACHE_SIZE and info.currsize <= M.REFERENCE_CACHE_SIZE

@@ -695,3 +695,17 @@ def test_op_counts_of_a_beam_expansion_and_an_xe_step(monkeypatch):
     rng_online.begin_step(1)
     rng_target.begin_step(1)
     assert _count_ops(monkeypatch, tr.xe_step, state, batch, 1e-3, rng_online, rng_target) == 96
+
+
+def test_op_count_of_an_scst_step(monkeypatch):
+    # beams of both models, rewards, Hungarian pairing and one re-scoring
+    # pass with backward: the per-call trims of the SCST loop add no nodes
+    samples, vocab, cfg = tiny_setup()
+    state = tr.TrainState.create(cfg, seed=1)
+    train = samples[:4]
+    df = DocumentFrequency([s.references for s in train])
+    emb = BagEmbedder.from_corpus([tokenize(r, vocab).ids for s in train for r in s.references],
+                                  len(vocab.tokens))
+    scst = tr.ScstConfig(strategy="hungarian_all", beam_size=3, learning_rate=1e-4, lambda_kd=0.1)
+    batch = [(s.features.grid, s.references) for s in train[:2]]
+    assert _count_ops(monkeypatch, tr.scst_step, state, batch, scst, df, vocab, emb) == 2091
