@@ -344,9 +344,6 @@ def cmd_train_scst(args) -> int:
         scst = tr.ScstConfig(**_fields_of(tr.ScstConfig, cfg))
     if ckpt.stage not in ("xe", "scst"):
         raise ConfigError(f"unknown checkpoint stage {ckpt.stage!r}")
-    if not 0 <= state.adam_t <= state.step:
-        raise DataError(f"checkpoint {args.checkpoint} has adam_t {state.adam_t} "
-                        f"outside 0..step {state.step}")
     if ckpt.stage == "xe":
         tr.prepare_for_scst(state, scst)
         best = None  # XE-stage validation scores are not comparable
@@ -422,11 +419,11 @@ def cmd_evaluate(args) -> int:
         references.append(refs[image_id])
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
+    if not any(metrics.metric_tokens(r) for refs in references for r in refs):
+        raise DataError(f"{args.references}: the scored images' references hold no words, "
+                        f"so CIDEr-D has no corpus")
     with _open_out(args.out) as fh:
-        try:
-            scores = metrics.evaluate_all(candidates, references)
-        except ValueError as exc:  # references with no words leave CIDEr-D no corpus
-            raise DataError(f"{args.references}: {exc}") from exc
+        scores = metrics.evaluate_all(candidates, references)
         scores["num_images"] = len(candidates)
         fh.write(json.dumps(scores, indent=2, sort_keys=True) + "\n")
     write_manifest(args.out + ".manifest.json", "evaluate",

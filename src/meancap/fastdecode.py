@@ -22,8 +22,10 @@ from . import tensor as T
 from .model import NEG_INF, ModelConfig, cross_memory, decode_layers
 from .tokenizer import BOS_ID
 
-# distinct prefix-length tuples whose block layout is kept; a beam search
-# meets only a few, most of them one length repeated up to the beam width
+# distinct prefix-length tuples whose block layout is kept.  A beam search
+# extends its live beams together, so a tuple is mostly one length repeated
+# up to the beam width: seed 1 met 28 tuples in 4,924 passes over 60
+# scst-pairs steps and 15 in 824 passes over 100 caption-eval images
 LAYOUT_CACHE_SIZE = 256
 
 

@@ -14,9 +14,11 @@ MAX_N = 4
 ROUGE_BETA = 1.2
 CIDER_SIGMA = 6.0
 CIDER_SCALE = 10.0
-# reference sets whose tf-idf vectors ``reward`` keeps: one SCST step scores
-# every hypothesis of a batch's images against the same few sets
-REFERENCE_CACHE_SIZE = 32
+# reference sets whose tf-idf vectors ``reward`` keeps.  scst_step scores an
+# image's hypotheses one after another, so the last set is all it reuses: on
+# scst-pairs (seed 1, 60 steps) 960 of 1,200 calls hit at size 1 and 992 at
+# size 32, whose extra hits depend on the corpus and save ~0.25 ms a step
+REFERENCE_CACHE_SIZE = 1
 
 
 @dataclass

@@ -411,9 +411,9 @@ def state_from_checkpoint(ckpt: Checkpoint):
     config = ModelConfig(**ckpt.config)
     vocab = Vocabulary(list(ckpt.vocab_tokens), [tuple(m) for m in ckpt.vocab_merges])
     counters = (ckpt.step, ckpt.adam_t, ckpt.seed)
-    if any(type(n) is not int for n in counters) or min(ckpt.step, ckpt.adam_t) < 0:
-        raise ValueError(f"checkpoint step, adam_t and seed must be integers and the steps "
-                         f"non-negative, got {counters}")
+    if any(type(n) is not int for n in counters) or not 0 <= ckpt.adam_t <= ckpt.step:
+        raise ValueError(f"checkpoint step, adam_t and seed must be integers with "
+                         f"0 <= adam_t <= step, got {counters}")
     if len(vocab.tokens) != config.vocab_size:
         raise ValueError(f"{len(vocab.tokens)} vocabulary tokens for vocab_size {config.vocab_size}")
     shapes = dict(param_shapes(config))

@@ -339,6 +339,24 @@ def test_evaluate_non_utf8_candidates_exit_three(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "data"
 
 
+def test_evaluate_rejects_wordless_references_but_lets_a_scoring_fault_raise(tmp_path, capsys,
+                                                                             monkeypatch):
+    cands, refs, out = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl", tmp_path / "s.json"
+    cands.write_text('{"id": 1, "caption": "a dog"}\n')
+    refs.write_text('{"id": 1, "refs": [" ", ""]}\n')
+    assert cli.main(["evaluate", str(cands), str(refs), "--out", str(out)]) == 3
+    assert "no words" in json.loads(capsys.readouterr().err)["detail"]
+    assert not out.exists()
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside a metric")
+
+    monkeypatch.setattr(cli.metrics, "evaluate_all", broken)
+    refs.write_text('{"id": 1, "refs": ["a dog"]}\n')
+    with pytest.raises(ValueError, match="inside a metric"):
+        cli.main(["evaluate", str(cands), str(refs), "--out", str(out)])
+
+
 def test_nan_checkpoint_exits_four(overfit_run, tmp_path, capsys):
     ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")
     ckpt.groups["target"]["output.bias"][:] = np.nan
