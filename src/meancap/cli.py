@@ -207,6 +207,16 @@ def load_dataset(data_dir):
     return out
 
 
+def _check_spelled(samples, vocab) -> None:
+    """A training reference word the vocabulary cannot spell fails before step 1."""
+    for s in samples:
+        for word in (w for ref in s.references for w in ref.split()):
+            try:
+                vocab.word_ids(word)
+            except KeyError:
+                raise DataError(f"image {s.features.image_id}: {word!r} is not in the vocabulary")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -323,6 +333,7 @@ def cmd_train_xe(args) -> int:
     else:
         with _config_values():
             state = tr.TrainState.create(model_cfg, **_fields_of(tr.TrainState, cfg))
+    _check_spelled(splits["train"], vocab)
     return _train_stage(
         "train-xe", cfg, state, started,
         lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best),
@@ -336,6 +347,7 @@ def cmd_train_scst(args) -> int:
     cfg = parse_config(args.config, _TRAIN_SCST_KEYS)
     splits = load_dataset(cfg["data_dir"])
     ckpt, state, vocab = _load(args.checkpoint)
+    _check_spelled(splits["train"], vocab)
     width = splits["train"][0].features.grid.shape[1]
     if width != state.config.feature_dim:
         raise DataError(f"{cfg['data_dir']} has {width}-wide features; "

@@ -56,8 +56,8 @@ def _closest_ref_length(cand_len: int, ref_lens) -> int:
     return min(ref_lens, key=lambda r: (abs(r - cand_len), r))
 
 
-def bleu(candidates, references, n: int = 4) -> Score:
-    """Corpus-level BLEU-n: clipped precision geometric mean times brevity penalty."""
+def _bleu_values(candidates, references, n: int) -> list:
+    """Corpus BLEU-1..n from one pass of clipped n-gram counts."""
     _check_aligned(candidates, references)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"BLEU order must be 1..{MAX_N}, got {n}")
@@ -76,16 +76,21 @@ def bleu(candidates, references, n: int = 4) -> Score:
                 continue
             max_ref = Counter()
             for rt in refs_toks:
-                for gram, c in ngram_counts(rt, k).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
+                max_ref |= ngram_counts(rt, k)  # the largest count in any reference
             clipped[k - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
             total[k - 1] += sum(counts.values())
-    if any(t == 0 for t in total) or any(c == 0 for c in clipped):
-        return Score(f"BLEU-{n}", 0.0)
-    log_mean = sum(math.log(c / t) for c, t in zip(clipped, total)) / n
+    if not cand_len_sum:  # no candidate words, so every precision is zero
+        return [0.0] * n
     bp = 1.0 if cand_len_sum > ref_len_sum else math.exp(1.0 - ref_len_sum / cand_len_sum)
-    return Score(f"BLEU-{n}", bp * math.exp(log_mean))
+    # a zero precision zeroes every higher order; clipped <= total covers empty orders
+    return [0.0 if 0 in clipped[:m] else
+            bp * math.exp(sum(math.log(c / t) for c, t in zip(clipped[:m], total[:m])) / m)
+            for m in range(1, n + 1)]
+
+
+def bleu(candidates, references, n: int = 4) -> Score:
+    """Corpus-level BLEU-n: clipped precision geometric mean times brevity penalty."""
+    return Score(f"BLEU-{n}", _bleu_values(candidates, references, n)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ def rouge_l(candidates, references) -> Score:
 
 
 class DocumentFrequency:
-    """N-gram document frequencies over a reference corpus, immutable once built."""
+    """N-gram document frequencies and their idf, immutable once built."""
 
     def __init__(self, references):
         if not references:
@@ -141,15 +146,11 @@ class DocumentFrequency:
         for refs in references:
             if not refs:
                 raise ValueError("every image needs at least one reference")
-            seen = set()
-            for ref in refs:
-                toks = metric_tokens(ref)
-                for n in range(1, MAX_N + 1):
-                    seen.update(ngram_counts(toks, n))
-            self.df.update(seen)
-
-    def idf(self, gram) -> float:
-        return math.log(self.num_images / max(1.0, self.df.get(gram, 0)))
+            # an n-gram counts once per image, however many references hold it
+            self.df.update({tuple(toks[i:i + n]) for toks in map(metric_tokens, refs)
+                            for n in range(1, MAX_N + 1) for i in range(len(toks) - n + 1)})
+        self.idf = {g: math.log(self.num_images / max(1.0, c)) for g, c in self.df.items()}
+        self.unseen_idf = math.log(self.num_images / 1.0)  # as if one image held it
 
 
 def _check_df(df) -> None:
@@ -160,7 +161,7 @@ def _check_df(df) -> None:
 def _tfidf_vectors(tokens, df: DocumentFrequency):
     vecs, norms = [], []
     for n in range(1, MAX_N + 1):
-        vec = {g: c * df.idf(g) for g, c in ngram_counts(tokens, n).items()}
+        vec = {g: c * df.idf.get(g, df.unseen_idf) for g, c in ngram_counts(tokens, n).items()}
         vecs.append(vec)
         norms.append(math.sqrt(sum(v * v for v in vec.values())))
     return vecs, norms
@@ -223,9 +224,7 @@ def evaluate_all(candidates, references, df: DocumentFrequency = None) -> dict:
     """The standard evaluation bundle keyed the way the CLI reports it."""
     if df is None:
         df = DocumentFrequency(references)
-    out = {}
-    for n in range(1, MAX_N + 1):
-        out[f"BLEU-{n}"] = bleu(candidates, references, n).value
+    out = {f"BLEU-{n}": v for n, v in enumerate(_bleu_values(candidates, references, MAX_N), 1)}
     out["ROUGE-L"] = rouge_l(candidates, references).value
     out["CIDEr-D"] = cider_d(candidates, references, df).value
     return out

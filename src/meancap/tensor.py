@@ -84,11 +84,9 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def _copied(like: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` added into zeros laid out like ``like``, as a node's first gradient
-    is; fused ops copy where their op chains did, so the bits stay the same."""
-    out = np.zeros_like(like)
-    out += g
-    return out
+    """``g`` added into zeros laid out like ``like``, in one pass (``g + 0.0``), as a
+    node's first gradient is; fused ops copy where their op chains did, bit for bit."""
+    return np.add(g, 0.0, out=np.empty_like(like))
 
 
 def _result(data, parents, backward):

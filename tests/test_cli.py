@@ -331,6 +331,45 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
     assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
 
 
+def _with_unspellable_references(source, target):
+    """A copy of a dataset whose every first reference has a word with a
+    letter the caption corpus never uses; returns the first training image."""
+    shutil.copytree(source, target)
+    rows = [json.loads(line) for line in (target / "captions.jsonl").read_text().splitlines()]
+    for row in rows:
+        row["refs"][0] = "a quixotic jazz ball"
+    (target / "captions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return json.loads((target / "split.json").read_text())["train"][0]
+
+
+def _assert_unspellable_word_error(capsys, image_id):
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "data"
+    assert f"image {image_id}:" in err["detail"] and "'quixotic'" in err["detail"]
+
+
+def test_train_xe_rejects_an_unspellable_reference_word_before_step_one(tmp_path, capsys):
+    source = tmp_path / "source"
+    gen = dict(GEN, seed=3, num_images=20)
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(source), **gen)]) == 0
+    first = _with_unspellable_references(source, tmp_path / "data")
+    xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=3, data_dir=str(tmp_path / "data"),
+                       out_dir=str(tmp_path / "xe"), steps=3, batch_size=4, **TINY_MODEL)
+    assert cli.main(["train-xe", xe_cfg]) == 3
+    _assert_unspellable_word_error(capsys, first)
+    assert not (tmp_path / "xe").exists()
+
+
+def test_train_scst_rejects_an_unspellable_reference_word_before_step_one(overfit_run, tmp_path,
+                                                                         capsys):
+    first = _with_unspellable_references(overfit_run / "data", tmp_path / "data")
+    cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(tmp_path / "data"),
+                    out_dir=str(tmp_path / "scst"), steps=2, batch_size=4, beam_size=3)
+    assert cli.main(["train-scst", cfg, str(overfit_run / "xe" / "last.ckpt")]) == 3
+    _assert_unspellable_word_error(capsys, first)
+    assert not (tmp_path / "scst").exists()
+
+
 def test_evaluate_non_utf8_candidates_exit_three(tmp_path, capsys):
     cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
     cands.write_bytes(b'{"id": 1, "caption": "a \xff dog"}\n')

@@ -5,9 +5,11 @@ shared helpers, so agreement is evidence rather than tautology.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancap import metrics as M
 
@@ -275,6 +277,57 @@ def test_evaluate_all_reports_all_keys():
     cands, refs = random_corpus(np.random.default_rng(3))
     out = M.evaluate_all(cands, refs)
     assert set(out) == {"BLEU-1", "BLEU-2", "BLEU-3", "BLEU-4", "ROUGE-L", "CIDEr-D"}
+
+
+# --- BLEU-1..4 from one pass -----------------------------------------------------
+# ``per_order_bleu`` is copied verbatim from the implementation that counted
+# orders 1..n again for each n (only the name differs): every BLEU value must
+# equal it bit for bit.
+
+
+def per_order_bleu(candidates, references, n):
+    clipped = [0] * n
+    total = [0] * n
+    cand_len_sum = 0
+    ref_len_sum = 0
+    for cand, refs in zip(candidates, references):
+        cand_toks = M.metric_tokens(cand)
+        refs_toks = [M.metric_tokens(r) for r in refs]
+        cand_len_sum += len(cand_toks)
+        ref_len_sum += M._closest_ref_length(len(cand_toks), [len(r) for r in refs_toks])
+        for k in range(1, n + 1):
+            counts = M.ngram_counts(cand_toks, k)
+            if not counts:
+                continue
+            max_ref = Counter()
+            for rt in refs_toks:
+                for gram, c in M.ngram_counts(rt, k).items():
+                    if c > max_ref[gram]:
+                        max_ref[gram] = c
+            clipped[k - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
+            total[k - 1] += sum(counts.values())
+    if any(t == 0 for t in total) or any(c == 0 for c in clipped):
+        return 0.0
+    log_mean = sum(math.log(c / t) for c, t in zip(clipped, total)) / n
+    bp = 1.0 if cand_len_sum > ref_len_sum else math.exp(1.0 - ref_len_sum / cand_len_sum)
+    return bp * math.exp(log_mean)
+
+
+# short texts over few words, so that captions under four words (zero
+# precision at the higher orders) and clipped repeats are common
+_texts = st.lists(st.sampled_from(["a", "red", "ball", "Red", "the", "cube"]),
+                  min_size=0, max_size=7).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_texts, st.lists(_texts.filter(bool), min_size=1, max_size=4)),
+                min_size=1, max_size=5))
+def test_evaluate_all_bleu_equals_four_separate_bleu_calls(images):
+    cands = [c for c, _ in images]
+    refs = [r for _, r in images]
+    out = M.evaluate_all(cands, refs)
+    for n in range(1, M.MAX_N + 1):
+        assert out[f"BLEU-{n}"] == M.bleu(cands, refs, n).value == per_order_bleu(cands, refs, n)
 
 
 # --- the uncached reward ------------------------------------------------------

@@ -352,3 +352,25 @@ def test_deep_chain_does_not_overflow():
         cur = T.scale(cur, 1.0)
     T.backward(T.sum_all(cur))
     np.testing.assert_allclose(x.grad, [1.0])
+
+
+def _zeros_plus(like, g):
+    """A first gradient as zeros laid out like ``like`` with ``g`` added in."""
+    out = np.zeros_like(like)
+    out += g
+    return out
+
+
+@pytest.mark.parametrize("like, g", [
+    (np.ones(4, np.float32), np.array([-0.0, 0.0, -1.5, 2.0], np.float32)),
+    (np.ones(3), np.array([np.nan, -np.nan, np.inf])),
+    (np.ones((2, 3), np.float32), np.array([-0.0, 1.0, -2.5], np.float32)),  # broadcast rows
+    (np.ones((3, 2), np.float32), np.array([1e-40, 1 / 3, -0.0, 3e38, -1e-46, 0.1]).reshape(3, 2)),
+    (np.ones((2, 3), np.float32).T, np.arange(6.0).reshape(3, 2) / 7),  # a transposed layout
+])
+def test_first_gradient_copy_keeps_the_bits_of_zeros_plus_g(like, g):
+    got, want = T._copied(like, g), _zeros_plus(like, g)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[np.broadcast_to(g == 0, got.shape)]).any()  # -0.0 becomes +0.0

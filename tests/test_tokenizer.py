@@ -1,5 +1,7 @@
 """Vocabulary learning, encode/decode round-trips, sequence invariants."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,3 +109,65 @@ def _scenes(draw):
 def test_round_trip_over_the_template_grammar(text, size):
     vocab = tok.build_vocab(caption_corpus(), size)
     assert tok.detokenize_ids(tok.tokenize(text, vocab).ids, vocab) == text
+
+
+# ---------------------------------------------------------------------------
+# the per-vocabulary word cache
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_vocab(size):
+    """One vocabulary per size, shared by every example so its cache stays warm."""
+    vocab = tok.build_vocab(caption_corpus(), size)
+    for line in caption_corpus():
+        tok.tokenize(line, vocab)
+    return vocab
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenes(), st.integers(4, 200))
+def test_a_warm_cache_gives_the_ids_of_a_fresh_vocabulary(text, size):
+    warm = _warm_vocab(size)
+    fresh = tok.Vocabulary(list(warm.tokens), list(warm.merges))
+    assert tok.tokenize(text, warm).ids == tok.tokenize(text, fresh).ids
+    assert fresh.word_cache and all(fresh.word_cache[w] == warm.word_cache[w]
+                                    for w in fresh.word_cache)
+
+
+def test_each_distinct_word_is_encoded_once(monkeypatch):
+    vocab = tok.build_vocab(caption_corpus(), 60)
+    encoded = []
+    original = tok._encode_word
+    monkeypatch.setattr(tok, "_encode_word", lambda w, v: encoded.append(w) or original(w, v))
+    for _ in range(3):
+        tok.tokenize("a red ball and a red cube", vocab)
+    assert sorted(encoded) == ["a", "and", "ball", "cube", "red"]
+
+
+def test_a_word_with_an_unknown_symbol_fails_every_time_and_is_never_stored():
+    vocab = tok.build_vocab(caption_corpus(), 200)
+    for _ in range(3):
+        with pytest.raises(KeyError, match="'q'"):
+            tok.tokenize("a quixotic ball", vocab)
+    assert "quixotic" not in vocab.word_cache
+    assert set(vocab.word_cache) <= {"a", "ball"}
+
+
+def test_the_word_cache_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(tok, "WORD_CACHE_SIZE", 3)
+    vocab = tok.build_vocab(caption_corpus(), 200)
+    fresh = tok.build_vocab(caption_corpus(), 200)
+    text = "the picture shows a red ball and a blue cube"
+    for _ in range(2):
+        assert tok.tokenize(text, vocab).ids == tok.tokenize(text, fresh).ids
+    assert list(vocab.word_cache) == ["the", "picture", "shows"]
+
+
+def test_equality_and_repr_ignore_the_word_cache():
+    cold = tok.build_vocab(caption_corpus(), 120)
+    warm = tok.build_vocab(caption_corpus(), 120)
+    tok.tokenize(caption_corpus()[0], warm)
+    assert warm.word_cache and not cold.word_cache
+    assert cold == warm
+    assert repr(cold) == repr(warm)

@@ -19,7 +19,8 @@ from meancap.fastdecode import FastDecoder
 from meancap.metrics import DocumentFrequency, reward
 from meancap.model import ModelConfig, decode_logits, encode, init_params
 from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
-from meancap.tokenizer import BOS_ID, EOS_ID, build_vocab, detokenize_ids, tokenize
+from meancap.tokenizer import (BOS_ID, EOS_ID, Vocabulary, build_vocab, detokenize_ids,
+                               tokenize)
 
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
@@ -652,6 +653,25 @@ def test_sequence_ids_truncates_with_eos():
     assert len(short) == 6
     assert short[0] == full[0] and short[-1] == EOS_ID
     assert tr.sequence_ids(text, vocab, len(full)) == full
+
+
+def test_xe_step_is_the_same_with_a_cold_or_a_warm_word_cache():
+    samples, vocab, cfg = tiny_setup()
+    start = tr.state_to_checkpoint(tr.TrainState.create(cfg, seed=4), vocab, "xe")
+    warm = Vocabulary(list(vocab.tokens), list(vocab.merges))
+    for line in caption_corpus():
+        tokenize(line, warm)
+    runs = []
+    for v in (Vocabulary(list(vocab.tokens), list(vocab.merges)), warm):
+        state, _ = tr.state_from_checkpoint(start)
+        batch = [(s.features.grid, tr.sequence_ids(s.references[1], v, cfg.max_length))
+                 for s in samples[:4]]
+        rng_online, rng_target = KeyedRng(4, ROLE_ONLINE), KeyedRng(4, ROLE_TARGET)
+        rng_online.begin_step(1)
+        rng_target.begin_step(1)
+        report = tr.xe_step(state, batch, 1e-3, rng_online, rng_target)
+        runs.append((report, snapshot(state.online), snapshot(state.target)))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
