@@ -44,7 +44,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for group in sorted(ckpt.groups):
         entries = []
         for name in sorted(ckpt.groups[group]):
-            arr = np.ascontiguousarray(ckpt.groups[group][name])
+            arr = np.asarray(ckpt.groups[group][name], order="C")  # keeps a 0-d shape
+            if arr.dtype.kind != "f":  # load_checkpoint would refuse the file
+                raise ValueError(f"parameter {group}/{name} has dtype {arr.dtype}, not a float")
             dtype = arr.dtype.newbyteorder("<")
             entries.append([name, list(arr.shape), dtype.str])
             blobs.append(arr.astype(dtype, copy=False).tobytes())

@@ -117,6 +117,8 @@ def generate_synthetic_dataset(
     """
     if refs_per_image < 1:
         raise ValueError(f"refs_per_image must be >= 1, got {refs_per_image}")
+    if not noise_sigma >= 0.0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if isinstance(objects_per_image, int):
         lo = hi = objects_per_image
     else:
@@ -153,8 +155,8 @@ def generate_synthetic_dataset(
 
 def split_dataset(samples, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     """Shuffle by id and cut into train/val/test; disjoint and seed-stable."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     rng = generator(seed, ROLE_DATA, 0, 2)
     order = rng.permutation(len(samples))
     n_train = int(round(fractions[0] * len(samples)))
@@ -179,12 +181,17 @@ def write_features(path, grids) -> None:
     if not grids:
         raise ValueError("no feature grids to write")
     g, d = grids[0].grid.shape
+    if 0 in (g, d):
+        raise ValueError(f"feature grids of {g} x {d} are empty")
     records = bytearray()
     for fg in grids:
         if fg.grid.shape != (g, d):
             raise ValueError(f"grid shape {fg.grid.shape} differs from first grid {(g, d)}")
+        values = fg.grid.astype("<f4")
+        if not np.isfinite(values).all():  # read_features would refuse the file
+            raise ValueError(f"image {fg.image_id} has values beyond the float32 range")
         records += struct.pack("<Q", fg.image_id)
-        records += fg.grid.astype("<f4").tobytes()
+        records += values.tobytes()
     payload = bytes(records)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, g, d, len(grids)))

@@ -41,7 +41,8 @@ class ModelConfig:
             allowed = (int, float) if f.type is float else f.type  # an integer is a fine float
             if not isinstance(value, allowed) or isinstance(value, bool) != (f.type is bool):
                 raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-        for name in ("model_dim", "num_heads", "num_encoder_layers"):
+        for name in ("feature_dim", "num_encoder_layers", "num_decoder_layers", "model_dim",
+                     "feedforward_dim", "num_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -107,6 +107,9 @@ def _topological(root: Tensor) -> list:
         node, it = stack[-1]
         for parent in it:
             if id(parent) not in seen and parent.requires_grad:
+                if parent._backward_ran:
+                    raise RuntimeError("backward already consumed part of this graph; "
+                                       "rerun the forward pass first")
                 seen.add(id(parent))
                 stack.append((parent, iter(parent.parents)))
                 break
@@ -119,9 +122,12 @@ def _topological(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every parameter the loss depends on.
 
-    Visits each graph node exactly once in reverse topological order.
-    Running backward twice on the same root is an error; rebuild the graph
-    (a fresh forward pass) instead.
+    Visits each graph node exactly once in reverse topological order and
+    consumes the graph as it goes: once a node has passed its gradient on,
+    its gradient, closure and parent links are dropped, so every array it
+    saved is freed before backward returns.  Leaves keep their ``grad``.
+    Running backward again over a consumed node is an error; rebuild the
+    graph (a fresh forward pass) instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -131,9 +137,13 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(_topological(loss)):
+    nodes = _topological(loss)
+    while nodes:
+        node = nodes.pop()  # the list must not keep a consumed node alive
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node.parents = None, None, ()
+            node._backward_ran = True
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +316,12 @@ def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.uniform(x.data.shape) >= rate).astype(x.data.dtype)
-    mask = keep / (1.0 - rate)
-    out = x.data * mask
+    keep = rng.uniform(x.data.shape) >= rate  # saved as booleans, a quarter of a float32 mask
+    out = x.data * (keep.astype(x.data.dtype) / (1.0 - rate))
 
     def bw(g):
         if x.requires_grad:
-            x.accumulate_grad(g * mask)
+            x.accumulate_grad(g * (keep.astype(x.data.dtype) / (1.0 - rate)))
 
     return _result(out, (x,), bw)
 
@@ -345,15 +354,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Ten
     e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
     p = e / np.add.reduce(e, axis=-1, keepdims=True)
     att = p @ vh
+    att_shape, att_dtype = att.shape, att.dtype  # backward keeps p, not scores or att
 
     def bw(g):
-        ga = _copied(att, split(g))
+        ga = np.add(split(g), 0.0, out=np.empty(att_shape, att_dtype))
         if v.requires_grad:
             v.accumulate_grad(join(_unbroadcast(p.swapaxes(-1, -2) @ ga, vh.shape)))
         if not (q.requires_grad or k.requires_grad):
             return
         gp = _copied(p, _unbroadcast(ga @ vh.swapaxes(-1, -2), p.shape))
-        gs = _copied(scores, p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * c)
+        gs = _copied(p, p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * c)
         if k.requires_grad:
             gk = _unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape)
             k.accumulate_grad(join(gk.swapaxes(-1, -2)))

@@ -157,20 +157,23 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
     ``batch`` is a list of (grid, ids).  Each model encodes and decodes the
     whole batch in one pass.  The distillation term compares teacher-forced
     logits of the two models on the same reference; the target pass never
-    joins the gradient graph.
+    joins the gradient graph.  It runs first, so that its transient arrays
+    are freed before the online graph is built; each model draws its
+    dropout from its own stream, so the order changes no draw.
     """
     cfg = state.config
     grids = np.stack([grid for grid, _ in batch])
     inputs, targets, mask = _teacher_forcing([ids for _, ids in batch])
-    enc_o = encode(grids, state.online, cfg, training=True, rng=rng_online)
-    logits_o = decode_logits(inputs, enc_o, state.online, cfg, training=True, rng=rng_online)
-    total = ce = T.cross_entropy(logits_o, targets, mask)
-    kd = None
     if state.lambda_kd > 0.0:
         with T.no_grad():
             enc_t = encode(grids, state.target, cfg, training=True, rng=rng_target)
             logits_t = decode_logits(inputs, enc_t, state.target, cfg,
                                      training=True, rng=rng_target)
+    enc_o = encode(grids, state.online, cfg, training=True, rng=rng_online)
+    logits_o = decode_logits(inputs, enc_o, state.online, cfg, training=True, rng=rng_online)
+    total = ce = T.cross_entropy(logits_o, targets, mask)
+    kd = None
+    if state.lambda_kd > 0.0:
         kd = T.masked_mse(logits_t, logits_o, mask)
         total = T.add(ce, T.scale(kd, state.lambda_kd))
     _update(state, total, lr, {"xe_loss": float(total.data), "lr": lr})

@@ -1,12 +1,16 @@
 """Checkpoint container: bit-exact round trips and corruption detection."""
 
+import dataclasses
 import json
 import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meancap import checkpoint
 from meancap.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint,
@@ -41,6 +45,20 @@ def _make_checkpoint(rng):
     )
 
 
+def assert_same_checkpoint(back, ckpt):
+    """Every field equal; every array bit for bit, in little-endian order."""
+    for f in dataclasses.fields(Checkpoint):
+        if f.name != "groups":
+            assert getattr(back, f.name) == getattr(ckpt, f.name), f.name
+    assert {g: set(p) for g, p in back.groups.items()} == {g: set(p) for g, p in ckpt.groups.items()}
+    for group in ckpt.groups:
+        for name, arr in ckpt.groups[group].items():
+            want = arr.astype(arr.dtype.newbyteorder("<"))
+            got = back.groups[group][name]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     ckpt = _make_checkpoint(rng)
@@ -48,19 +66,47 @@ def test_round_trip_bit_exact(tmp_path):
     save_checkpoint(path, ckpt)
     back = load_checkpoint(path)
 
-    assert back.config == ckpt.config
-    assert back.vocab_tokens == ckpt.vocab_tokens
-    assert back.vocab_merges == ckpt.vocab_merges
     assert (back.step, back.adam_t, back.seed) == (17, 12, 5)
     assert (back.stage, back.momentum, back.lambda_kd) == ("xe", 0.999, 0.1)
-    assert back.best == ckpt.best
-    assert set(back.groups) == set(ckpt.groups)
-    for group in ckpt.groups:
-        assert set(back.groups[group]) == set(ckpt.groups[group])
-        for name, arr in ckpt.groups[group].items():
-            got = back.groups[group][name]
-            assert got.dtype == arr.dtype and got.shape == arr.shape
-            assert got.tobytes() == arr.tobytes()
+    assert_same_checkpoint(back, ckpt)
+
+
+_TEXT = st.text(max_size=6)
+_JSON = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT
+# any shape, 0-d and empty included, in any byte order; NaN payloads too
+_ARRAYS = st.sampled_from(["<f2", "<f4", ">f4", "<f8", ">f8", "<i4"]).flatmap(
+    lambda d: hnp.arrays(d, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
+
+
+@st.composite
+def _checkpoints(draw):
+    """Any checkpoint save_checkpoint takes; an integer array it must refuse."""
+    ints = st.integers(0, 2 ** 40)
+    return Checkpoint(
+        config=draw(st.dictionaries(_TEXT, _JSON, max_size=4)),
+        vocab_tokens=draw(st.lists(_TEXT, max_size=5)),
+        vocab_merges=draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3)),
+        step=draw(ints), adam_t=draw(ints), seed=draw(ints), stage=draw(_TEXT),
+        momentum=draw(st.floats(allow_nan=False)), lambda_kd=draw(st.floats(allow_nan=False)),
+        groups=draw(st.dictionaries(_TEXT, st.dictionaries(_TEXT, _ARRAYS, max_size=3),
+                                    max_size=3)),
+        best=draw(st.none() | st.dictionaries(_TEXT, _JSON, max_size=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_checkpoints())
+def test_what_save_checkpoint_accepts_loads_back_bit_for_bit(ckpt):
+    floats = all(a.dtype.kind == "f" for params in ckpt.groups.values() for a in params.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ckpt")
+        try:
+            save_checkpoint(path, ckpt)
+        except ValueError:
+            assert not floats and os.listdir(tmp) == []
+            return
+        assert floats
+        assert_same_checkpoint(load_checkpoint(path), ckpt)
 
 
 def test_save_is_deterministic(tmp_path):

@@ -213,6 +213,8 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("train-xe", dict(num_heads=0)),
     ("train-xe", dict(model_dim=0)),
     ("train-xe", dict(num_encoder_layers=0)),
+    ("train-xe", dict(num_decoder_layers=0)),
+    ("train-xe", dict(feedforward_dim=0)),
     ("train-xe", dict(dropout_rate=1.0)),
     ("train-xe", dict(dropout_rate=-0.5)),
     ("train-xe", dict(max_length=1)),
@@ -224,6 +226,9 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("gen-data", dict(noise_sigma=math.nan)),
     ("gen-data", dict(noise_sigma=math.inf)),
     ("gen-data", dict(val_fraction=-math.inf)),
+    ("gen-data", dict(train_fraction=1.2, val_fraction=-0.1, test_fraction=-0.1)),
+    ("gen-data", dict(noise_sigma=-0.1)),
+    ("gen-data", dict(feature_dim=0)),
     ("train-scst", dict(lambda_kd=-0.5)),
     ("train-scst", dict(learning_rate=0.0)),
 ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))

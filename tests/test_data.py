@@ -1,7 +1,12 @@
 """Synthetic scenes: determinism, template inversion, feature file format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meancap import data
 from test_checkpoint import corrupted_copies
@@ -70,6 +75,8 @@ def test_closed_set_limits_enforced():
         data.generate_synthetic_dataset(seed=0, num_images=1, objects_per_image=10, grid_size=9)
     with pytest.raises(ValueError):
         data.generate_synthetic_dataset(seed=0, num_images=1, refs_per_image=0)
+    with pytest.raises(ValueError):
+        data.generate_synthetic_dataset(seed=0, num_images=1, noise_sigma=-0.1)
 
 
 def test_splits_disjoint_and_stable():
@@ -80,6 +87,8 @@ def test_splits_disjoint_and_stable():
     assert ids(tr1) == ids(tr2) and ids(va1) == ids(va2) and ids(te1) == ids(te2)
     all_ids = ids(tr1) + ids(va1) + ids(te1)
     assert sorted(all_ids) == list(range(50))
+    with pytest.raises(ValueError):  # sums to 1, but no split can be negative
+        data.split_dataset(samples, (1.2, -0.1, -0.1), seed=4)
 
 
 def test_feature_round_trip_bit_exact(tmp_path):
@@ -91,6 +100,37 @@ def test_feature_round_trip_bit_exact(tmp_path):
     assert len(back) == 9
     for a, b in zip(grids, back):
         assert grids_equal(a, b)
+
+
+@st.composite
+def _grid_lists(draw):
+    """Grids of one shape, empty dimensions included, in any dtype the writer
+    takes; FeatureGrid itself refuses non-finite entries."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 5)))
+    dtype = np.dtype(draw(st.sampled_from(["<f4", ">f4", "<f8", "<f2", "<i4"])))
+    finite = {"allow_nan": False, "allow_infinity": False} if dtype.kind == "f" else {}
+    grid = hnp.arrays(dtype, shape, elements=hnp.from_dtype(dtype, **finite))
+    return [data.FeatureGrid(draw(st.integers(0, 2 ** 64 - 1)), draw(grid))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_lists())
+def test_what_write_features_accepts_reads_back_bit_for_bit(grids):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "feat.bin")
+        try:
+            data.write_features(path, grids)
+        except ValueError:  # an empty grid, or a value float32 cannot hold
+            g = grids[0].grid
+            assert 0 in g.shape or not all(np.isfinite(x.grid.astype("<f4")).all() for x in grids)
+            return
+        back = data.read_features(path)
+    assert [b.image_id for b in back] == [g.image_id for g in grids]
+    for b, g in zip(back, grids):
+        # the file holds float32; a float32 grid comes back as itself, NaN payloads too
+        assert b.grid.dtype == np.float32 and b.grid.shape == g.grid.shape
+        assert b.grid.tobytes() == g.grid.astype("<f4").tobytes()
 
 
 def test_minimal_feature_file_is_34_bytes(tmp_path):

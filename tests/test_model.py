@@ -78,6 +78,9 @@ def test_config_validation():
         tiny_config(num_memory_slots=-1)
     with pytest.raises(ValueError):
         tiny_config(vocab_size=2)
+    for name in ("feature_dim", "num_decoder_layers", "feedforward_dim"):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: 0})
 
 
 # --- encoder ----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Autodiff engine: finite-difference checks and structural contracts."""
 
 import functools
+import gc
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -325,6 +328,123 @@ def test_backward_requires_scalar():
     a = T.parameter(np.ones((2, 2)))
     with pytest.raises(ValueError):
         T.backward(T.relu(a))
+
+
+def _graph_with_saved_arrays(rng):
+    """A loss over attention, layer norm, dropout and a shared node, plus
+    weak references to every array those ops saved for backward."""
+    x, w = leaf(rng, 2, 3, 8), leaf(rng, 8, 8)
+    h = T.layer_norm(T.linear(x, w, T.tensor(np.zeros(8))), T.tensor(np.ones(8)),
+                     T.tensor(np.zeros(8)))
+    att = T.attention(h, h, h, 2, _offset_causal_mask(3, 3))
+    out = T.dropout(T.relu(att), 0.3, FixedRng(rng.random((2, 3, 8))), training=True)
+    saved = [weakref.ref(c.cell_contents) for node in (h, att, out)
+             for c in node._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    saved += [weakref.ref(node.data) for node in (h, att)]
+    return (x, w), h, T.sum_all(T.mul(out, out)), saved
+
+
+def test_backward_frees_every_array_the_graph_saved_without_a_collection():
+    leaves, h, loss, saved = _graph_with_saved_arrays(np.random.default_rng(40))
+    assert len(saved) >= 8 and all(ref() is not None for ref in saved)
+    del h
+    gc.disable()  # reference counting alone must free them
+    try:
+        T.backward(loss)
+        assert [ref() is None for ref in saved] == [True] * len(saved)
+    finally:
+        gc.enable()
+    assert all(p.grad is not None for p in leaves)
+
+
+def test_backward_drops_interior_gradients_and_keeps_leaf_gradients():
+    leaves, h, loss, _ = _graph_with_saved_arrays(np.random.default_rng(41))
+    T.backward(loss)
+    assert h.grad is None and h.parents == () and h._backward is None
+    assert h.data.shape == (2, 3, 8)  # values stay readable
+    assert loss.grad is None
+    for p in leaves:
+        assert p.grad.shape == p.data.shape and np.any(p.grad != 0)
+
+
+def test_second_backward_through_a_consumed_shared_node_raises():
+    a = T.parameter(np.full((2, 2), 3.0))
+    shared = T.sum_all(T.mul(a, a))
+    first, second = T.scale(shared, 1.0), T.scale(shared, 2.0)
+    T.backward(first)
+    before = a.grad.copy()
+    with pytest.raises(RuntimeError, match="rerun the forward pass"):
+        T.backward(second)
+    np.testing.assert_array_equal(a.grad, before)  # nothing half-propagated
+    with pytest.raises(RuntimeError):
+        T.backward(shared)  # a consumed interior node is no new root either
+
+
+def _dropout_reference(x, u, rate, g):
+    """Dropout as it was written with a saved float mask: (out, dx)."""
+    mask = (u >= rate).astype(x.dtype) / (1.0 - rate)
+    return x * mask, g * mask
+
+
+def _attention_reference(q, k, v, num_heads, mask, g):
+    """Attention as it was written with scores and att saved as the copy
+    layouts: (out, dq, dk, dv)."""
+    d = q.shape[-1]
+    c = 1.0 / math.sqrt(d // num_heads)
+
+    def split(a):
+        return a.reshape(*a.shape[:-1], num_heads, d // num_heads).swapaxes(-3, -2)
+
+    def join(a):
+        return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], d)
+
+    qh, kt, vh = split(q), split(k).swapaxes(-1, -2), split(v)
+    scores = (qh @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    att = p @ vh
+    ga = T._copied(att, split(g))
+    dv = join(T._unbroadcast(p.swapaxes(-1, -2) @ ga, vh.shape))
+    gp = T._copied(p, T._unbroadcast(ga @ vh.swapaxes(-1, -2), p.shape))
+    gs = T._copied(scores, p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * c)
+    dk = join(T._unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape).swapaxes(-1, -2))
+    dq = join(T._unbroadcast(gs @ kt.swapaxes(-1, -2), qh.shape))
+    return join(att), dq, dk, dv
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((3, 4, 8)).astype(dtype)
+    u, g = rng.random((3, 4, 8)), rng.standard_normal((3, 4, 8)).astype(dtype)
+    xp = T.parameter(x)
+    out = T.dropout(xp, 0.3, FixedRng(u), training=True)
+    T.backward(T.sum_all(T.mul(out, T.tensor(g, dtype))))
+    want_out, want_dx = _dropout_reference(x, u, 0.3, g)
+    # a leaf's first gradient is copied as ``g + 0.0``, which turns -0.0 into +0.0
+    assert _same_bits(out.data, want_out) and _same_bits(xp.grad, want_dx + 0.0)
+
+    for q_shape, kv_shape, mask in [
+        ((2, 5, 8), (2, 5, 8), _offset_causal_mask(5, 5).astype(dtype)),  # self-attention
+        ((2, 3, 8), (2, 6, 8), _offset_causal_mask(3, 6).astype(dtype)),  # cached rows
+        ((2, 5, 8), (9, 8), None),  # one memory for every row
+        ((5, 8), (2, 9, 8), np.zeros((2, 1, 1, 9), dtype)),  # broadcast padding mask
+    ]:
+        q, k, v = (rng.standard_normal(s).astype(dtype) for s in (q_shape, kv_shape, kv_shape))
+        qp, kp, vp = (T.parameter(a) for a in (q, k, v))
+        out = T.attention(qp, kp, vp, 2, mask)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.backward(T.sum_all(T.mul(out, T.tensor(g, dtype))))
+        want = _attention_reference(q, k, v, 2, mask, g)
+        assert _same_bits(out.data, want[0])
+        for got, w in zip((qp.grad, kp.grad, vp.grad), want[1:]):
+            assert _same_bits(got, w + 0.0)
 
 
 def test_no_grad_suppresses_graph():

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,28 @@ def test_xe_loss_never_reaches_target():
     # the online side did receive gradient
     assert any(p.grad is not None and np.abs(p.grad).max() > 0
                for p in state.online.values())
+
+
+def test_a_desk_xe_step_holds_only_what_a_later_step_reads():
+    # backward frees the graph as it goes and the target pass runs before the
+    # online graph exists; a step that kept every interior gradient, closure
+    # and parent link until it returned peaked at about 20 MB here
+    samples = generate_synthetic_dataset(seed=1, num_images=16)
+    vocab = build_vocab(caption_corpus(), 200)
+    cfg = ModelConfig(vocab_size=len(vocab.tokens))
+    state = tr.TrainState.create(cfg, seed=1)
+    batch = [(s.features.grid, tr.sequence_ids(s.references[0], vocab, cfg.max_length))
+             for s in samples]
+    ro, rt = KeyedRng(1, ROLE_ONLINE), KeyedRng(1, ROLE_TARGET)
+    ro.begin_step(1)
+    rt.begin_step(1)
+    tracemalloc.start()
+    try:
+        tr.xe_step(state, batch, 1e-3, ro, rt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # about 8 MB
 
 
 def test_scst_loss_never_reaches_target():
