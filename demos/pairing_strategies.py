@@ -7,7 +7,8 @@ which online hypothesis.  The library ships four answers:
     best            top target hypothesis -> top online hypothesis
     all             rank i -> rank i, averaged over the beam
     hungarian_best  cheapest bipartite match, then only the pair that
-                    contains the top online hypothesis
+                    contains the top target hypothesis: it and its
+                    matched online partner
     hungarian_all   every pair of the cheapest bipartite match
 
 This demo warms one XE state, clones it once per strategy, runs a short
@@ -29,9 +30,8 @@ from meancap.tokenizer import build_vocab
 SCST_STEPS = 25
 BATCH = 4
 
-samples = generate_synthetic_dataset(seed=11, num_images=40, refs_per_image=4,
-                                     objects_per_image=(1, 3))
-train, val, _ = split_dataset(samples, fractions=(0.8, 0.2, 0.0), seed=11)
+samples = generate_synthetic_dataset(seed=11, num_images=40, refs_per_image=4, max_objects=3)
+train, val, _ = split_dataset(samples, seed=11, val_fraction=0.2, test_fraction=0.0)
 vocab = build_vocab(caption_corpus(), 150)
 config = mdl.ModelConfig(vocab_size=len(vocab.tokens), model_dim=32,
                          feedforward_dim=64, num_heads=2,

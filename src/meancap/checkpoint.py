@@ -1,11 +1,11 @@
 """Versioned checkpoint container, bit-exact on round trip.
 
 Layout: magic "CMLC" | version u16 LE | header length u32 LE | header JSON
-| parameter blobs | CRC32 (of header plus blobs).  The header carries the
-model config, vocabulary, counters, and the name/shape/dtype listing of
-each parameter group; blobs follow in exactly that order as little-endian
-raw bytes.  Everything needed to resume or caption is inside: a checkpoint
-is self-contained.
+| parameter blobs | CRC32 (of header plus blobs).  The header holds the
+version and the fields of ``Checkpoint``, each under its own name, with
+the parameter groups as a name/shape/dtype listing; blobs follow in exactly
+that order as little-endian raw bytes.  Everything needed to resume or
+caption is inside: a checkpoint is self-contained.
 """
 
 import json
@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,7 @@ _PREAMBLE = struct.Struct("<4sHI")
 @dataclass
 class Checkpoint:
     config: dict
-    vocab_tokens: list
-    vocab_merges: list
+    vocab: dict  # {"tokens": [...], "merges": [[left, right], ...]}
     step: int
     adam_t: int
     seed: int
@@ -51,19 +50,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             entries.append([name, list(arr.shape), dtype.str])
             blobs.append(arr.astype(dtype, copy=False).tobytes())
         listing[group] = entries
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": ckpt.config,
-        "vocab": {"tokens": ckpt.vocab_tokens, "merges": [list(m) for m in ckpt.vocab_merges]},
-        "step": ckpt.step,
-        "adam_t": ckpt.adam_t,
-        "seed": ckpt.seed,
-        "stage": ckpt.stage,
-        "momentum": ckpt.momentum,
-        "lambda_kd": ckpt.lambda_kd,
-        "groups": listing,
-        "best": ckpt.best,
-    }
+    header = {f.name: getattr(ckpt, f.name) for f in fields(Checkpoint)}
+    header.update(version=CHECKPOINT_VERSION, groups=listing)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + b"".join(blobs)
     # write beside the target, then rename over it: a failed save leaves
@@ -123,16 +111,6 @@ def load_checkpoint(path) -> Checkpoint:
         groups[group] = params
     if offset != len(payload):
         raise ValueError(f"checkpoint payload length mismatch: consumed {offset}, have {len(payload)}")
-    return Checkpoint(
-        config=header["config"],
-        vocab_tokens=header["vocab"]["tokens"],
-        vocab_merges=[tuple(m) for m in header["vocab"]["merges"]],
-        step=header["step"],
-        adam_t=header["adam_t"],
-        seed=header["seed"],
-        stage=header["stage"],
-        momentum=header["momentum"],
-        lambda_kd=header["lambda_kd"],
-        groups=groups,
-        best=header.get("best"),
-    )
+    # keys an older writer left (a retired "use_ema") are not fields
+    known = {f.name: header[f.name] for f in fields(Checkpoint) if f.name in header}
+    return Checkpoint(**dict(known, groups=groups))

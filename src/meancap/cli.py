@@ -11,13 +11,15 @@ lines, values in JSON syntax), but train-scst takes the model and its
 vocabulary from its checkpoint: a manifest's config snapshot and the
 checkpoint it names as source pin a run completely.  A training key named
 after a field of ``ModelConfig``, ``LoopConfig``, ``ScstConfig`` or
-``TrainState`` takes its type and default from that field.  Commands print
-a machine-readable JSON error on stderr and exit 2 (config), 3 (data), or
-4 (numeric failure).
+``TrainState``, and a gen-data key named after a parameter of
+``generate_synthetic_dataset`` or ``split_dataset``, takes its type and
+default from there.  Commands print a machine-readable JSON error on stderr
+and exit 2 (config), 3 (data), or 4 (numeric failure).
 """
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -52,16 +54,16 @@ class DataError(Exception):
 _REQUIRED = object()
 
 
-def _field_keys(cls, *names) -> dict:
-    """Keys for the named fields of a library class (all if none are named),
-    typed and defaulted by their fields; one without a default is required."""
-    return {f.name: (f.type, _REQUIRED if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(cls) if not names or f.name in names}
+def _field_keys(fn, *names) -> dict:
+    """Keys for the named parameters of a library function or class (all if
+    none are named), typed and defaulted by them; one without a default is required."""
+    return {p.name: (p.annotation, _REQUIRED if p.default is p.empty else p.default)
+            for p in inspect.signature(fn).parameters.values() if not names or p.name in names}
 
 
-def _fields_of(cls, cfg: dict) -> dict:
-    """The parsed keys that name fields of a library class."""
-    return {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
+def _fields_of(fn, cfg: dict) -> dict:
+    """The parsed keys that name parameters of a library function or class."""
+    return {name: cfg[name] for name in inspect.signature(fn).parameters if name in cfg}
 
 
 # the vocabulary and the feature width come from the data
@@ -69,18 +71,9 @@ _MODEL_KEYS = {k: spec for k, spec in _field_keys(ModelConfig).items()
                if k not in ("vocab_size", "feature_dim")}
 
 _GEN_DATA_KEYS = {
-    "seed": (int, _REQUIRED),
+    **_field_keys(D.generate_synthetic_dataset),  # its seed, required, also cuts the split
+    **_field_keys(D.split_dataset, "train_fraction", "val_fraction", "test_fraction"),
     "out_dir": (str, _REQUIRED),
-    "num_images": (int, 200),
-    "min_objects": (int, 1),
-    "max_objects": (int, 4),
-    "refs_per_image": (int, 5),
-    "grid_size": (int, 9),
-    "feature_dim": (int, 32),
-    "noise_sigma": (float, 0.05),
-    "train_fraction": (float, 0.8),
-    "val_fraction": (float, 0.1),
-    "test_fraction": (float, 0.1),
 }
 
 _TRAIN_XE_KEYS = {
@@ -261,13 +254,8 @@ def cmd_gen_data(args) -> int:
     cfg = parse_config(args.config, _GEN_DATA_KEYS)
     out = Path(cfg["out_dir"])
     with _config_values():
-        samples = D.generate_synthetic_dataset(
-            seed=cfg["seed"], num_images=cfg["num_images"],
-            objects_per_image=(cfg["min_objects"], cfg["max_objects"]),
-            refs_per_image=cfg["refs_per_image"], grid_size=cfg["grid_size"],
-            feature_dim=cfg["feature_dim"], noise_sigma=cfg["noise_sigma"])
-        fractions = (cfg["train_fraction"], cfg["val_fraction"], cfg["test_fraction"])
-        train, val, test = D.split_dataset(samples, fractions, cfg["seed"])
+        samples = D.generate_synthetic_dataset(**_fields_of(D.generate_synthetic_dataset, cfg))
+        train, val, test = D.split_dataset(samples, **_fields_of(D.split_dataset, cfg))
         out.mkdir(parents=True, exist_ok=True)
         D.write_features(out / "features.bin", [s.features for s in samples])
     D.write_captions(out / "captions.jsonl", samples)

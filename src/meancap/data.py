@@ -103,8 +103,9 @@ def caption_corpus() -> list:
 
 def generate_synthetic_dataset(
     seed: int,
-    num_images: int,
-    objects_per_image=(1, 4),
+    num_images: int = 200,
+    min_objects: int = 1,
+    max_objects: int = 4,
     refs_per_image: int = 5,
     grid_size: int = 9,
     feature_dim: int = 32,
@@ -112,27 +113,25 @@ def generate_synthetic_dataset(
 ) -> list:
     """Deterministic list of CaptionedSample; same seed, same bytes.
 
-    ``objects_per_image`` is an inclusive (low, high) range or a fixed int.
-    Cells beyond the sampled pairs hold the zero code (plus noise).
+    Each image holds between ``min_objects`` and ``max_objects`` pairs,
+    inclusive.  Cells beyond the sampled pairs hold the zero code (plus noise).
     """
-    if refs_per_image < 1:
-        raise ValueError(f"refs_per_image must be >= 1, got {refs_per_image}")
+    for name, value in (("num_images", num_images), ("refs_per_image", refs_per_image),
+                        ("feature_dim", feature_dim)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not noise_sigma >= 0.0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if isinstance(objects_per_image, int):
-        lo = hi = objects_per_image
-    else:
-        lo, hi = objects_per_image
-    if lo < 1 or hi > grid_size:
-        raise ValueError(f"objects_per_image {lo}..{hi} must fit the grid of {grid_size} cells")
-    if hi > len(COLORS) * len(OBJECTS):
-        raise ValueError(f"requested up to {hi} pairs but only {len(COLORS) * len(OBJECTS)} distinct pairs exist")
+    if not 1 <= min_objects <= max_objects <= grid_size:
+        raise ValueError(f"objects per image {min_objects}..{max_objects} must fit the grid of {grid_size} cells")
+    if max_objects > len(COLORS) * len(OBJECTS):
+        raise ValueError(f"requested up to {max_objects} pairs but only {len(COLORS) * len(OBJECTS)} distinct pairs exist")
 
     proj = projection_matrix(feature_dim)
     samples = []
     for image_id in range(num_images):
         rng = generator(seed, ROLE_DATA, image_id, 1)
-        k = int(rng.integers(lo, hi + 1))
+        k = int(rng.integers(min_objects, max_objects + 1))
         pairs = [
             (COLORS[int(rng.integers(len(COLORS)))], OBJECTS[int(rng.integers(len(OBJECTS)))])
             for _ in range(k)
@@ -153,14 +152,16 @@ def generate_synthetic_dataset(
     return samples
 
 
-def split_dataset(samples, fractions=(0.8, 0.1, 0.1), seed: int = 0):
+def split_dataset(samples, seed: int = 0, train_fraction: float = 0.8,
+                  val_fraction: float = 0.1, test_fraction: float = 0.1):
     """Shuffle by id and cut into train/val/test; disjoint and seed-stable."""
+    fractions = (train_fraction, val_fraction, test_fraction)
     if abs(sum(fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     rng = generator(seed, ROLE_DATA, 0, 2)
     order = rng.permutation(len(samples))
-    n_train = int(round(fractions[0] * len(samples)))
-    n_val = int(round(fractions[1] * len(samples)))
+    n_train = int(round(train_fraction * len(samples)))
+    n_val = int(round(val_fraction * len(samples)))
     train = [samples[i] for i in order[:n_train]]
     val = [samples[i] for i in order[n_train:n_train + n_val]]
     test = [samples[i] for i in order[n_train + n_val:]]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .model import decode_step, encode
+from .model import decode_logits, encode
 from .tokenizer import BOS_ID, EOS_ID
 
 
@@ -84,19 +84,18 @@ def model_expander(params, config, encoder_layers):
 
     def expand(prefixes):
         with T.no_grad():
-            return np.stack([decode_step(ids, encoder_layers, params, config).data[0] for ids in prefixes])
+            return np.stack([decode_logits(ids, encoder_layers, params, config).data[-1] for ids in prefixes])
 
     return expand
 
 
-def caption_image(params, config, grid, k: int, max_length=None):
+def caption_image(params, config, grid, k: int):
     """Encode one image and beam-search a caption; returns the Beam."""
     from .fastdecode import FastDecoder
 
     if k > config.vocab_size:
         raise ValueError(f"beam width {k} exceeds vocabulary size {config.vocab_size}")
-    max_length = config.max_length if max_length is None else max_length
     with T.no_grad():
         enc = encode(grid, params, config)
     fast = FastDecoder(params, config, enc)
-    return beam_search(fast.expand, k, max_length)
+    return beam_search(fast.expand, k, config.max_length)

@@ -10,8 +10,8 @@ own parent's rows and itself, so prefixes of different lengths share the
 pass.  The image's cross-attention keys and values are projected once, up
 front; the cache keeps self-attention layer inputs, so each pass projects
 the stacked rows again.  The arithmetic is the model's own; results match
-``model.decode_step`` up to floating-point summation order, which the
-equivalence tests pin down.
+the last row of ``model.decode_logits`` over the whole prefix up to
+floating-point summation order, which the equivalence tests pin down.
 """
 
 import functools

@@ -220,11 +220,9 @@ def reward(hypothesis_text: str, refs, df: DocumentFrequency) -> float:
                         _cached_reference_vectors(tuple(refs), df), df)
 
 
-def evaluate_all(candidates, references, df: DocumentFrequency = None) -> dict:
+def evaluate_all(candidates, references) -> dict:
     """The standard evaluation bundle keyed the way the CLI reports it."""
-    if df is None:
-        df = DocumentFrequency(references)
     out = {f"BLEU-{n}": v for n, v in enumerate(_bleu_values(candidates, references, MAX_N), 1)}
     out["ROUGE-L"] = rouge_l(candidates, references).value
-    out["CIDEr-D"] = cider_d(candidates, references, df).value
+    out["CIDEr-D"] = cider_d(candidates, references, DocumentFrequency(references)).value
     return out

@@ -282,10 +282,3 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
                               params, config, mask, training=training, rng=rng)
     return logits
 
-
-def decode_step(prefix_ids, encoder_layers, params, config: ModelConfig) -> T.Tensor:
-    """Next-token logits, one (1, N) row, for a BOS-led prefix; evaluation mode."""
-    if len(prefix_ids) >= config.max_length:
-        raise ValueError(f"prefix length {len(prefix_ids)} must stay under max_length {config.max_length}")
-    logits = decode_logits(prefix_ids, encoder_layers, params, config)
-    return T.embedding(logits, [logits.shape[0] - 1])

@@ -351,10 +351,9 @@ def _select_batch(samples, batch_size: int, seed: int, step: int) -> list:
 
 
 def validate_cider(params, config: ModelConfig, samples, vocab: Vocabulary,
-                   beam_size: int, df: metrics.DocumentFrequency = None) -> float:
-    """Corpus CIDEr-D of top-of-beam captions over ``samples``."""
-    if df is None:
-        df = metrics.DocumentFrequency([s.references for s in samples])
+                   beam_size: int, df: metrics.DocumentFrequency) -> float:
+    """Corpus CIDEr-D of top-of-beam captions over ``samples``, with the
+    document frequencies of their references."""
     candidates, references = [], []
     for s in samples:
         beam = caption_image(params, config, s.features.grid, beam_size)
@@ -390,8 +389,7 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
                         best: dict = None) -> Checkpoint:
     return Checkpoint(
         config=asdict(state.config),
-        vocab_tokens=list(vocab.tokens),
-        vocab_merges=list(vocab.merges),
+        vocab={"tokens": list(vocab.tokens), "merges": [list(m) for m in vocab.merges]},
         step=state.step,
         adam_t=state.adam_t,
         seed=state.seed,
@@ -412,7 +410,7 @@ def state_from_checkpoint(ckpt: Checkpoint):
     """Rebuild (state, vocab) from a loaded checkpoint; one whose parameters
     or vocabulary do not fit its model config is a ValueError."""
     config = ModelConfig(**ckpt.config)
-    vocab = Vocabulary(list(ckpt.vocab_tokens), [tuple(m) for m in ckpt.vocab_merges])
+    vocab = Vocabulary(list(ckpt.vocab["tokens"]), [tuple(m) for m in ckpt.vocab["merges"]])
     counters = (ckpt.step, ckpt.adam_t, ckpt.seed)
     if any(type(n) is not int for n in counters) or not 0 <= ckpt.adam_t <= ckpt.step:
         raise ValueError(f"checkpoint step, adam_t and seed must be integers with "

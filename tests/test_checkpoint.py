@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips and corruption detection."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -32,8 +33,7 @@ def _make_checkpoint(rng):
     }
     return Checkpoint(
         config={"model_dim": 16, "vocab_size": 9},
-        vocab_tokens=["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"],
-        vocab_merges=[("a", "b</w>")],
+        vocab={"tokens": ["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"], "merges": [["a", "b</w>"]]},
         step=17,
         adam_t=12,
         seed=5,
@@ -71,6 +71,43 @@ def test_round_trip_bit_exact(tmp_path):
     assert_same_checkpoint(back, ckpt)
 
 
+def _header(path) -> dict:
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", blob, 6)
+    return json.loads(blob[10:10 + head_len])
+
+
+def _fixed_checkpoint():
+    """A small checkpoint built without a random stream, so its bytes are fixed."""
+    w = np.arange(12, dtype=np.float32).reshape(3, 4) / 8
+    groups = {"online": {"a.weight": w, "a.bias": np.float32([0.5, -1.0, 2.0, 0.25])},
+              "target": {"a.weight": w * 2, "a.bias": np.zeros(4, np.float32)},
+              "adam_m": {"a.weight": w.astype(np.float64) / 3, "a.bias": np.ones(4)},
+              "adam_v": {"a.weight": (w.astype(np.float64) / 3) ** 2, "a.bias": np.full(4, 1e-8)}}
+    return Checkpoint(config={"model_dim": 16, "vocab_size": 9},
+                      vocab={"tokens": ["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"],
+                             "merges": [["a", "b</w>"]]},
+                      step=17, adam_t=12, seed=5, stage="scst", momentum=0.999, lambda_kd=0.1,
+                      groups=groups, best={"step": 10, "cider_target": 0.5})
+
+
+def test_header_keys_are_pinned(tmp_path):
+    """A new Checkpoint field would change every file: it must be added here on purpose."""
+    save_checkpoint(tmp_path / "run.ckpt", _fixed_checkpoint())
+    assert set(_header(tmp_path / "run.ckpt")) == {
+        "adam_t", "best", "config", "groups", "lambda_kd", "momentum", "seed", "stage", "step",
+        "version", "vocab"}
+
+
+def test_fixed_checkpoint_bytes_are_pinned(tmp_path):
+    """The sha256 of one small checkpoint, as the format wrote it before its header
+    was built from the fields of Checkpoint; a format change must update it on purpose."""
+    save_checkpoint(tmp_path / "run.ckpt", _fixed_checkpoint())
+    assert hashlib.sha256((tmp_path / "run.ckpt").read_bytes()).hexdigest() == (
+        "6d496e77079ba80e978e02ae6ff65e963c98687c31b21514048e63e852a52084")
+    assert_same_checkpoint(load_checkpoint(tmp_path / "run.ckpt"), _fixed_checkpoint())
+
+
 _TEXT = st.text(max_size=6)
 _JSON = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT
 # any shape, 0-d and empty included, in any byte order; NaN payloads too
@@ -84,8 +121,8 @@ def _checkpoints(draw):
     ints = st.integers(0, 2 ** 40)
     return Checkpoint(
         config=draw(st.dictionaries(_TEXT, _JSON, max_size=4)),
-        vocab_tokens=draw(st.lists(_TEXT, max_size=5)),
-        vocab_merges=draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3)),
+        vocab={"tokens": draw(st.lists(_TEXT, max_size=5)),
+               "merges": draw(st.lists(st.lists(_TEXT, min_size=2, max_size=2), max_size=3))},
         step=draw(ints), adam_t=draw(ints), seed=draw(ints), stage=draw(_TEXT),
         momentum=draw(st.floats(allow_nan=False)), lambda_kd=draw(st.floats(allow_nan=False)),
         groups=draw(st.dictionaries(_TEXT, st.dictionaries(_TEXT, _ARRAYS, max_size=3),
@@ -179,12 +216,14 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["last.ckpt"]  # no temporary file left behind
 
 
-def with_header_keys(src, dst, **keys):
-    """Copy a checkpoint with header keys added, as an older writer left them."""
+def with_header_keys(src, dst, drop=(), **keys):
+    """Copy a checkpoint with header keys added or dropped, as an older writer left them."""
     with open(src, "rb") as fh:
         blob = fh.read()
     _, _, head_len = struct.unpack_from("<4sHI", blob, 0)
     header = dict(json.loads(blob[10:10 + head_len]), **keys)
+    for key in drop:
+        del header[key]
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + blob[10 + head_len:-4]
     with open(dst, "wb") as fh:
@@ -205,6 +244,17 @@ def test_header_with_retired_use_ema_key_loads(tmp_path):
         for group in ckpt.groups:
             for name, arr in ckpt.groups[group].items():
                 assert back.groups[group][name].tobytes() == arr.tobytes()
+
+
+def test_header_without_best_loads(tmp_path):
+    """``best`` has a default, so a header without it loads; any other field is required."""
+    save_checkpoint(tmp_path / "run.ckpt", _fixed_checkpoint())
+    back = load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "old.ckpt",
+                                            drop=("best",)))
+    assert back.best is None and back.step == 17
+    with pytest.raises(TypeError, match="stage"):
+        load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "bad.ckpt",
+                                         drop=("best", "stage")))
 
 
 def corrupted_copies(blob: bytes):

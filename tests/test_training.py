@@ -26,7 +26,7 @@ from meancap.tokenizer import (BOS_ID, EOS_ID, Vocabulary, build_vocab, detokeni
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
     samples = generate_synthetic_dataset(seed=seed, num_images=num_images,
-                                         objects_per_image=(1, 2), refs_per_image=3)
+                                         max_objects=2, refs_per_image=3)
     vocab = build_vocab(caption_corpus(), 100)
     defaults = dict(vocab_size=len(vocab.tokens), model_dim=model_dim,
                     feedforward_dim=2 * model_dim, num_heads=2,
