@@ -6,6 +6,14 @@ version and the fields of ``Checkpoint``, each under its own name, with
 the parameter groups as a name/shape/dtype listing; blobs follow in exactly
 that order as little-endian raw bytes.  Everything needed to resume or
 caption is inside: a checkpoint is self-contained.
+
+Both directions stream.  A save writes each blob straight from its array
+(copying only one that is not C-contiguous little-endian), so it holds no
+copy of the payload.  A load checks the CRC in chunks of at most 1 MiB
+before it reads any header byte, then reads each blob into its own new
+array: it holds the parameters it returns plus one chunk.  Feature files
+(``data``) stream through the same ``write_array``, ``check_crc`` and
+``read_array``.
 """
 
 import json
@@ -21,6 +29,8 @@ CHECKPOINT_MAGIC = b"CMLC"
 CHECKPOINT_VERSION = 1
 
 _PREAMBLE = struct.Struct("<4sHI")
+_CRC = struct.Struct("<I")
+_CHUNK = 1 << 20  # bytes read at a time while checking a CRC
 
 
 @dataclass
@@ -37,31 +47,60 @@ class Checkpoint:
     best: dict = None
 
 
+def write_array(fh, arr: np.ndarray, crc: int) -> int:
+    """Write ``arr``'s little-endian bytes in C order; return ``crc`` carried
+    over them.  Only an array not already laid out so is copied."""
+    flat = arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False).reshape(-1).view(np.uint8)
+    fh.write(flat)
+    return zlib.crc32(flat, crc)
+
+
+def check_crc(fh, size: int) -> None:
+    """Check the next ``size`` bytes of ``fh``, read one chunk at a time,
+    against the CRC32 stored after them."""
+    crc = 0
+    for start in range(0, size, _CHUNK):
+        crc = zlib.crc32(fh.read(min(_CHUNK, size - start)), crc)
+    (stored,) = _CRC.unpack(fh.read(_CRC.size))
+    if stored != crc:
+        raise ValueError(f"checksum mismatch at offset {fh.tell() - _CRC.size}: "
+                         f"stored {stored:#010x}, computed {crc:#010x}")
+
+
+def read_array(fh, dtype, shape) -> np.ndarray:
+    """A new array of ``shape`` filled from the next bytes of ``fh``."""
+    arr = np.empty(shape, dtype)
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise ValueError("file ends inside an array")
+    return arr
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     listing = {}
-    blobs = []
+    arrays = []
     for group in sorted(ckpt.groups):
         entries = []
         for name in sorted(ckpt.groups[group]):
-            arr = np.asarray(ckpt.groups[group][name], order="C")  # keeps a 0-d shape
+            arr = np.asarray(ckpt.groups[group][name])  # keeps a 0-d shape
             if arr.dtype.kind != "f":  # load_checkpoint would refuse the file
                 raise ValueError(f"parameter {group}/{name} has dtype {arr.dtype}, not a float")
-            dtype = arr.dtype.newbyteorder("<")
-            entries.append([name, list(arr.shape), dtype.str])
-            blobs.append(arr.astype(dtype, copy=False).tobytes())
+            entries.append([name, list(arr.shape), arr.dtype.newbyteorder("<").str])
+            arrays.append(arr)
         listing[group] = entries
     header = {f.name: getattr(ckpt, f.name) for f in fields(Checkpoint)}
     header.update(version=CHECKPOINT_VERSION, groups=listing)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = head + b"".join(blobs)
     # write beside the target, then rename over it: a failed save leaves
     # the previous checkpoint whole
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.write(head)
+            crc = zlib.crc32(head)
+            for arr in arrays:
+                crc = write_array(fh, arr, crc)
+            fh.write(_CRC.pack(crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -71,46 +110,66 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _PREAMBLE.size + 4:
-        raise ValueError(f"checkpoint too short: {len(blob)} bytes")
-    magic, version, head_len = _PREAMBLE.unpack_from(blob, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic: {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    payload = blob[_PREAMBLE.size:-4]
-    (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    actual = zlib.crc32(payload)
-    if crc != actual:
-        raise ValueError(f"checkpoint checksum mismatch: stored {crc:#010x}, computed {actual:#010x}")
-    try:
-        header = json.loads(payload[:head_len].decode("utf-8"))
-    except RecursionError:
-        raise ValueError("checkpoint header nests too deeply") from None
-    offset = head_len
-    groups = {}
-    for group in sorted(header["groups"]):
-        params = {}
-        for name, shape, dtype_str in header["groups"][group]:
-            # the listing is outside input: sizes are checked before numpy sees them
+def _listing(groups, payload: int) -> list:
+    """(group, name, shape, dtype) of every blob, checked to fill ``payload``
+    bytes exactly: the listing is outside input, so no size or dtype reaches
+    numpy unchecked."""
+    entries, offset = [], 0
+    for group in sorted(groups):
+        if not isinstance(groups[group], list):
+            raise ValueError(f"checkpoint group {group!r} is not a listing")
+        for entry in groups[group]:
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
+                raise ValueError(f"checkpoint group {group!r} lists {entry!r}, not [name, shape, dtype]")
+            name, shape, dtype_str = entry
             if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
                 raise ValueError(f"checkpoint parameter {name!r} has shape {shape!r}")
-            dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+            try:
+                dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+            except (TypeError, SyntaxError):  # not a dtype at all ("02" is a SyntaxError)
+                dtype = None
             if dtype is None or dtype.kind != "f":
                 raise ValueError(f"checkpoint parameter {name!r} has dtype {dtype_str!r}, not a float")
-            count = math.prod(shape)
-            size = count * dtype.itemsize
-            if offset + size > len(payload):
+            offset += math.prod(shape) * dtype.itemsize
+            if offset > payload:
                 raise ValueError(f"checkpoint payload ends inside parameter {name!r}")
-            arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-            params[name] = arr.reshape(shape).copy()
-            offset += size
-        groups[group] = params
-    if offset != len(payload):
-        raise ValueError(f"checkpoint payload length mismatch: consumed {offset}, have {len(payload)}")
-    # keys an older writer left (a retired "use_ema") are not fields
-    known = {f.name: header[f.name] for f in fields(Checkpoint) if f.name in header}
+            entries.append((group, name, shape, dtype))
+    if offset != payload:
+        raise ValueError(f"checkpoint payload length mismatch: listed {offset}, have {payload}")
+    return entries
+
+
+def load_checkpoint(path) -> Checkpoint:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _PREAMBLE.size + _CRC.size:
+            raise ValueError(f"checkpoint too short: {size} bytes")
+        magic, version, head_len = _PREAMBLE.unpack(fh.read(_PREAMBLE.size))
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"bad checkpoint magic: {magic!r}")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        payload = size - _PREAMBLE.size - _CRC.size
+        if head_len > payload:
+            raise ValueError(f"checkpoint header of {head_len} bytes exceeds its {payload}-byte payload")
+        check_crc(fh, payload)
+        fh.seek(_PREAMBLE.size)
+        try:
+            header = json.loads(fh.read(head_len).decode("utf-8"))
+        except RecursionError:
+            raise ValueError("checkpoint header nests too deeply") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint header is {type(header).__name__}, not an object")
+        for f in fields(Checkpoint):
+            value = header.get(f.name)
+            if value is None is f.default:  # best may be absent or null
+                continue
+            allowed = (int, float) if f.type is float else f.type  # an integer is a fine float
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                raise ValueError(f"checkpoint header needs {f.name} as {f.type.__name__}, got {value!r}")
+        # keys an older writer left (a retired "use_ema") are not fields
+        known = {f.name: header[f.name] for f in fields(Checkpoint) if f.name in header}
+        groups = {group: {} for group in header["groups"]}
+        for group, name, shape, dtype in _listing(header["groups"], payload - head_len):
+            groups[group][name] = read_array(fh, dtype, shape)
     return Checkpoint(**dict(known, groups=groups))

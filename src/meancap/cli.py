@@ -155,7 +155,7 @@ def _load(path):
     try:
         ckpt = load_checkpoint(path)
         return (ckpt, *tr.state_from_checkpoint(ckpt))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 

@@ -6,15 +6,24 @@ optional noise; reference captions enumerate the pairs through a handful
 of sentence templates in varied orders.  The template grammar is invertible
 (a color word followed by an object word always names a pair), which the
 tests use as a parsing oracle.
+
+Feature files stream both ways.  ``write_features`` checks every grid, then
+writes each record straight from its grid (copying only one that is not
+C-contiguous little-endian float32), so it holds no copy of the records.
+``read_features`` checks the file size against its header and the CRC in
+chunks of at most 1 MiB, then reads each grid into its own new array: it
+holds the grids it returns plus one chunk.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import check_crc, read_array, write_array
 from .rng import ROLE_DATA, generator
 
 COLORS = ["red", "blue", "green", "yellow", "black", "white", "purple", "orange"]
@@ -184,49 +193,43 @@ def write_features(path, grids) -> None:
     g, d = grids[0].grid.shape
     if 0 in (g, d):
         raise ValueError(f"feature grids of {g} x {d} are empty")
-    records = bytearray()
-    for fg in grids:
+    ids = struct.pack(f"<{len(grids)}Q", *(fg.image_id for fg in grids))
+    for fg in grids:  # every grid is checked before the file is opened
         if fg.grid.shape != (g, d):
             raise ValueError(f"grid shape {fg.grid.shape} differs from first grid {(g, d)}")
-        values = fg.grid.astype("<f4")
-        if not np.isfinite(values).all():  # read_features would refuse the file
+        if not np.isfinite(fg.grid.astype("<f4", copy=False)).all():  # read_features would refuse it
             raise ValueError(f"image {fg.image_id} has values beyond the float32 range")
-        records += struct.pack("<Q", fg.image_id)
-        records += values.tobytes()
-    payload = bytes(records)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, g, d, len(grids)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        crc = 0
+        for i, fg in enumerate(grids):
+            image_id = ids[8 * i:8 * i + 8]
+            fh.write(image_id)
+            crc = write_array(fh, fg.grid.astype("<f4", copy=False), zlib.crc32(image_id, crc))
+        fh.write(struct.pack("<I", crc))
 
 
 def read_features(path) -> list:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"feature file too short for header: expected >= {_HEADER.size} bytes, got {len(blob)}")
-    magic, version, g, d, count = _HEADER.unpack_from(blob, 0)
-    if magic != FEATURE_MAGIC:
-        raise ValueError(f"bad magic at offset 0: expected {FEATURE_MAGIC!r}, got {magic!r}")
-    if version != FEATURE_VERSION:
-        raise ValueError(f"unsupported feature file version {version}")
-    if min(g, d, count) == 0:  # write_features makes no such file
-        raise ValueError(f"feature file holds {count} grids of {g} x {d}; none may be empty")
-    record_size = 8 + g * d * 4
-    expected = _HEADER.size + count * record_size + 4
-    if len(blob) != expected:
-        raise ValueError(f"truncated feature file: expected {expected} bytes, got {len(blob)}")
-    payload = blob[_HEADER.size:-4]
-    (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    actual = zlib.crc32(payload)
-    if crc != actual:
-        raise ValueError(f"checksum mismatch at offset {len(blob) - 4}: stored {crc:#010x}, computed {actual:#010x}")
-    grids = []
-    for i in range(count):
-        offset = i * record_size
-        (image_id,) = struct.unpack_from("<Q", payload, offset)
-        flat = np.frombuffer(payload, dtype="<f4", count=g * d, offset=offset + 8)
-        grids.append(FeatureGrid(int(image_id), flat.reshape(g, d).copy()))
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"feature file too short for header: expected >= {_HEADER.size} bytes, got {size}")
+        magic, version, g, d, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != FEATURE_MAGIC:
+            raise ValueError(f"bad magic at offset 0: expected {FEATURE_MAGIC!r}, got {magic!r}")
+        if version != FEATURE_VERSION:
+            raise ValueError(f"unsupported feature file version {version}")
+        if min(g, d, count) == 0:  # write_features makes no such file
+            raise ValueError(f"feature file holds {count} grids of {g} x {d}; none may be empty")
+        expected = _HEADER.size + count * (8 + g * d * 4) + 4
+        if size != expected:
+            raise ValueError(f"truncated feature file: expected {expected} bytes, got {size}")
+        check_crc(fh, size - _HEADER.size - 4)
+        fh.seek(_HEADER.size)
+        grids = []
+        for _ in range(count):
+            (image_id,) = struct.unpack("<Q", fh.read(8))
+            grids.append(FeatureGrid(image_id, read_array(fh, "<f4", (g, d))))
     return grids
 
 

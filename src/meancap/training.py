@@ -10,7 +10,7 @@ uninterrupted one.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -385,17 +385,18 @@ def _append_log(fh, record: dict) -> None:
         fh.flush()
 
 
+# the counters TrainState and Checkpoint both hold, under the same names;
+# config, the other shared field, converts between ModelConfig and dict
+_SHARED = [f.name for f in fields(TrainState)
+           if f.name != "config" and f.name in {c.name for c in fields(Checkpoint)}]
+
+
 def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
                         best: dict = None) -> Checkpoint:
     return Checkpoint(
         config=asdict(state.config),
         vocab={"tokens": list(vocab.tokens), "merges": [list(m) for m in vocab.merges]},
-        step=state.step,
-        adam_t=state.adam_t,
-        seed=state.seed,
         stage=stage,
-        momentum=state.momentum,
-        lambda_kd=state.lambda_kd,
         groups={
             "online": {n: p.data for n, p in state.online.items()},
             "target": {n: p.data for n, p in state.target.items()},
@@ -403,14 +404,24 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
             "adam_v": dict(state.v),
         },
         best=best,
+        **{name: getattr(state, name) for name in _SHARED},
     )
 
 
 def state_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild (state, vocab) from a loaded checkpoint; one whose parameters
-    or vocabulary do not fit its model config is a ValueError."""
-    config = ModelConfig(**ckpt.config)
-    vocab = Vocabulary(list(ckpt.vocab["tokens"]), [tuple(m) for m in ckpt.vocab["merges"]])
+    """Rebuild (state, vocab) from a loaded checkpoint; one whose config,
+    parameters or vocabulary do not fit together is a ValueError."""
+    try:
+        config = ModelConfig(**ckpt.config)
+    except TypeError as exc:  # a key missing, unknown or of the wrong type
+        raise ValueError(f"checkpoint config: {exc}") from None
+    tokens, merges = ckpt.vocab.get("tokens"), ckpt.vocab.get("merges")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)
+            and isinstance(merges, list)
+            and all(isinstance(m, list) and len(m) == 2 and all(isinstance(p, str) for p in m)
+                    for m in merges)):
+        raise ValueError("checkpoint vocab needs tokens as a list of strings and merges as string pairs")
+    vocab = Vocabulary(list(tokens), [tuple(m) for m in merges])
     counters = (ckpt.step, ckpt.adam_t, ckpt.seed)
     if any(type(n) is not int for n in counters) or not 0 <= ckpt.adam_t <= ckpt.step:
         raise ValueError(f"checkpoint step, adam_t and seed must be integers with "
@@ -419,7 +430,7 @@ def state_from_checkpoint(ckpt: Checkpoint):
         raise ValueError(f"{len(vocab.tokens)} vocabulary tokens for vocab_size {config.vocab_size}")
     shapes = dict(param_shapes(config))
     for group in ("online", "target", "adam_m", "adam_v"):
-        if {n: a.shape for n, a in ckpt.groups[group].items()} != shapes:
+        if {n: a.shape for n, a in ckpt.groups.get(group, {}).items()} != shapes:
             raise ValueError(f"checkpoint group {group} does not hold its config's parameters")
     state = TrainState(
         config=config,
@@ -427,11 +438,7 @@ def state_from_checkpoint(ckpt: Checkpoint):
         target={n: T.parameter(a.copy()) for n, a in ckpt.groups["target"].items()},
         m={n: a.copy() for n, a in ckpt.groups["adam_m"].items()},
         v={n: a.copy() for n, a in ckpt.groups["adam_v"].items()},
-        step=ckpt.step,
-        adam_t=ckpt.adam_t,
-        momentum=ckpt.momentum,
-        lambda_kd=ckpt.lambda_kd,
-        seed=ckpt.seed,
+        **{name: getattr(ckpt, name) for name in _SHARED},
     )
     return state, vocab
 

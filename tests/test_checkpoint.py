@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import tempfile
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,6 +17,9 @@ from hypothesis.extra import numpy as hnp
 from meancap import checkpoint
 from meancap.checkpoint import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Checkpoint,
                                 load_checkpoint, save_checkpoint)
+from meancap.model import ModelConfig
+from meancap.tokenizer import Vocabulary
+from meancap.training import TrainState, state_from_checkpoint, state_to_checkpoint
 
 
 def _make_checkpoint(rng):
@@ -110,9 +114,14 @@ def test_fixed_checkpoint_bytes_are_pinned(tmp_path):
 
 _TEXT = st.text(max_size=6)
 _JSON = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT
-# any shape, 0-d and empty included, in any byte order; NaN payloads too
-_ARRAYS = st.sampled_from(["<f2", "<f4", ">f4", "<f8", ">f8", "<i4"]).flatmap(
-    lambda d: hnp.arrays(d, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)))
+# the same values in C order, in Fortran order, or as a view with gaps
+# between elements that walks memory backwards
+_LAYOUTS = [lambda a: a, np.asfortranarray, lambda a: np.flip(np.stack([np.flip(a)] * 2, axis=-1)[..., 0])]
+# any shape, 0-d and empty included, in any byte order and layout; NaN payloads too
+_ARRAYS = st.tuples(
+    st.sampled_from(["<f2", "<f4", ">f4", "<f8", ">f8", "<i4"]).flatmap(
+        lambda d: hnp.arrays(d, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))),
+    st.sampled_from(_LAYOUTS)).map(lambda drawn: drawn[1](drawn[0]))
 
 
 @st.composite
@@ -218,12 +227,17 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
 
 def with_header_keys(src, dst, drop=(), **keys):
     """Copy a checkpoint with header keys added or dropped, as an older writer left them."""
+    header = dict(_header(src), **keys)
+    for key in drop:
+        del header[key]
+    return with_header(src, dst, header)
+
+
+def with_header(src, dst, header):
+    """Copy a checkpoint with ``header`` as its JSON header, checksum redone."""
     with open(src, "rb") as fh:
         blob = fh.read()
     _, _, head_len = struct.unpack_from("<4sHI", blob, 0)
-    header = dict(json.loads(blob[10:10 + head_len]), **keys)
-    for key in drop:
-        del header[key]
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = head + blob[10 + head_len:-4]
     with open(dst, "wb") as fh:
@@ -252,7 +266,7 @@ def test_header_without_best_loads(tmp_path):
     back = load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "old.ckpt",
                                             drop=("best",)))
     assert back.best is None and back.step == 17
-    with pytest.raises(TypeError, match="stage"):
+    with pytest.raises(ValueError, match="stage"):
         load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "bad.ckpt",
                                          drop=("best", "stage")))
 
@@ -283,7 +297,8 @@ def test_every_truncation_and_byte_flip_raises_value_error(tmp_path):
 
 @pytest.mark.parametrize("part, value", [(1, [2 ** 63]), (1, [2 ** 70, 0]), (1, [-1, 6]),
                                          (1, [4.0, 6]), (1, [True, 6]), (1, "46"),
-                                         (2, "|O"), (2, "V0"), (2, "<i8"), (2, 8), (2, [["a", "<f8"]])])
+                                         (2, "|O"), (2, "V0"), (2, "<i8"), (2, 8), (2, [["a", "<f8"]]),
+                                         (2, "x"), (2, "02")])
 def test_listing_with_impossible_shape_or_dtype_raises_value_error(tmp_path, part, value):
     # the listing is outside input: no size or dtype reaches numpy unchecked
     save_checkpoint(tmp_path / "run.ckpt", _make_checkpoint(np.random.default_rng(10)))
@@ -305,3 +320,74 @@ def test_header_nested_too_deeply_raises_value_error(tmp_path):
 
 def test_magic_constant():
     assert CHECKPOINT_MAGIC == b"CMLC" and len(CHECKPOINT_MAGIC) == 4
+
+
+def _tiny_state_checkpoint(tmp_path):
+    cfg = ModelConfig(vocab_size=5, feature_dim=4, model_dim=8, feedforward_dim=8, num_heads=2,
+                      num_encoder_layers=1, num_decoder_layers=1)
+    vocab = Vocabulary(["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"], [])
+    save_checkpoint(tmp_path / "run.ckpt", state_to_checkpoint(TrainState.create(cfg, seed=1), vocab, "xe"))
+    return tmp_path / "run.ckpt"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "groups"},
+    lambda h: dict(h, vocab=3),
+    lambda h: dict(h, vocab={"tokens": []}),
+    lambda h: dict(h, vocab={"tokens": h["vocab"]["tokens"], "merges": [["a"]]}),
+    lambda h: dict(h, config=dict(h["config"], heads=2)),
+    lambda h: dict(h, config=[]),
+    lambda h: dict(h, momentum="0.9"),
+    lambda h: dict(h, groups={("x" if g == "target" else g): e for g, e in h["groups"].items()}),
+    lambda h: dict(h, groups={**h["groups"], "adam_m": [["a.weight", [1], "<f4", 0]]}),
+    lambda h: list(h),
+], ids=["no-groups", "vocab-3", "vocab-no-merges", "merge-of-one", "config-key",
+        "config-list", "momentum-text", "no-target-group", "listing-entry", "list"])
+def test_checksum_valid_header_of_the_wrong_form_raises_value_error(tmp_path, edit):
+    """A header edit that keeps the checksum reaches neither a TypeError nor a KeyError."""
+    path = _tiny_state_checkpoint(tmp_path)
+    bad = with_header(path, tmp_path / "bad.ckpt", edit(_header(path)))
+    with pytest.raises(ValueError):
+        state_from_checkpoint(load_checkpoint(bad))
+    state_from_checkpoint(load_checkpoint(path))  # the unedited file is whole
+
+
+def test_every_field_train_state_shares_with_checkpoint_survives_a_round_trip(tmp_path):
+    shared = ({f.name for f in dataclasses.fields(TrainState)}
+              & {f.name for f in dataclasses.fields(Checkpoint)})
+    assert shared >= {"config", "step", "adam_t", "seed", "momentum", "lambda_kd"}
+    cfg = ModelConfig(vocab_size=5, feature_dim=4, model_dim=8, feedforward_dim=8, num_heads=2)
+    vocab = Vocabulary(["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"], [])
+    state = TrainState.create(cfg, seed=9, momentum=0.5, lambda_kd=0.25)
+    state.step, state.adam_t = 17, 12
+    fresh = TrainState.create(dataclasses.replace(cfg, max_length=9), seed=0)
+    save_checkpoint(tmp_path / "run.ckpt", state_to_checkpoint(state, vocab, "xe"))
+    back, _ = state_from_checkpoint(load_checkpoint(tmp_path / "run.ckpt"))
+    for name in sorted(shared):
+        # each value differs from a fresh state's, so a field left out shows
+        assert getattr(back, name) == getattr(state, name) != getattr(fresh, name), name
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes ``fn(*args)`` holds at its peak, what it returns included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_stream_the_parameters(tmp_path):
+    """A save holds no copy of the payload; a load holds the parameters it
+    returns plus bounded chunks.  Whole-file copies peaked at about 3x the
+    file on both sides."""
+    cfg = ModelConfig(vocab_size=64, mesh_enabled=True)
+    vocab = Vocabulary(["<pad>", "<bos>", "<eos>"] + [f"w{i}</w>" for i in range(61)], [])
+    ckpt = state_to_checkpoint(TrainState.create(cfg, seed=0), vocab, "xe")
+    path = tmp_path / "run.ckpt"
+    saved = traced_peak(save_checkpoint, path, ckpt)
+    size = path.stat().st_size
+    assert size > 4e6
+    assert saved < size / 4, (saved, size)
+    assert traced_peak(load_checkpoint, path) <= 1.25 * size
