@@ -85,3 +85,12 @@ echo "evaluate:"
 cat "$WORK/scores.json"
 echo
 echo "artifacts kept under $WORK"
+
+# --- 6. fingerprint every artifact ------------------------------------------
+# Manifests and configs hold paths and timestamps, so they are left out.
+# Diffing this listing between two checkouts shows whether a change kept
+# every output byte for byte.
+
+echo "sha256 of each artifact:"
+(cd "$WORK" && find . -type f ! -name '*manifest.json' ! -name '*.cfg' -printf '%P\n' \
+    | LC_ALL=C sort | xargs sha256sum)

@@ -7,9 +7,9 @@ pair is fine-tuned on CIDEr-D reward with the beams of the two models paired
 for continued distillation.
 
 The modules are importable individually and stay dependency-light (numpy
-only): ``tensor`` (reverse-mode autodiff), ``tokenizer``, ``data``,
-``model``, ``decoding``, ``metrics``, ``assignment``, ``training``,
-``checkpoint``, and ``cli``.
+only): ``tensor`` (reverse-mode autodiff), ``rng``, ``tokenizer``, ``data``,
+``model``, ``decoding``, ``fastdecode``, ``metrics``, ``assignment``,
+``training``, ``checkpoint``, and ``cli``.
 """
 
 __version__ = "0.1.0"

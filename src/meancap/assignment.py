@@ -117,9 +117,9 @@ class BagEmbedder:
     whose every token is weightless falls back to raw counts.
     """
 
-    def __init__(self, vocab_size: int, idf=None):
+    def __init__(self, vocab_size: int, idf):
         self.vocab_size = vocab_size
-        self.idf = np.ones(vocab_size) if idf is None else np.asarray(idf, dtype=np.float64)
+        self.idf = np.asarray(idf, dtype=np.float64)
         if self.idf.shape != (vocab_size,):
             raise ValueError(f"idf table shape {self.idf.shape} does not match vocab size {vocab_size}")
 

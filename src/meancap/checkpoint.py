@@ -47,6 +47,14 @@ class Checkpoint:
     best: dict = None
 
 
+def json_is(value, kind: type) -> bool:
+    """Whether a decoded JSON ``value`` is of type ``kind``, by the rule every
+    reader of outside input keeps: an integer is a fine float, a bool is no number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def write_array(fh, arr: np.ndarray, crc: int) -> int:
     """Write ``arr``'s little-endian bytes in C order; return ``crc`` carried
     over them.  Only an array not already laid out so is copied."""
@@ -122,7 +130,7 @@ def _listing(groups, payload: int) -> list:
             if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
                 raise ValueError(f"checkpoint group {group!r} lists {entry!r}, not [name, shape, dtype]")
             name, shape, dtype_str = entry
-            if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            if not isinstance(shape, list) or not all(json_is(n, int) and n >= 0 for n in shape):
                 raise ValueError(f"checkpoint parameter {name!r} has shape {shape!r}")
             try:
                 dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
@@ -164,8 +172,7 @@ def load_checkpoint(path) -> Checkpoint:
             value = header.get(f.name)
             if value is None is f.default:  # best may be absent or null
                 continue
-            allowed = (int, float) if f.type is float else f.type  # an integer is a fine float
-            if not isinstance(value, allowed) or isinstance(value, bool):
+            if not json_is(value, f.type):
                 raise ValueError(f"checkpoint header needs {f.name} as {f.type.__name__}, got {value!r}")
         # keys an older writer left (a retired "use_ema") are not fields
         known = {f.name: header[f.name] for f in fields(Checkpoint) if f.name in header}

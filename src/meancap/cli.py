@@ -32,7 +32,7 @@ import numpy as np
 from . import data as D
 from . import metrics
 from . import training as tr
-from .checkpoint import load_checkpoint
+from .checkpoint import json_is, load_checkpoint
 from .decoding import caption_image
 from .model import ModelConfig
 from .tokenizer import build_vocab, detokenize_ids
@@ -122,13 +122,12 @@ def parse_config(path, keyspec: dict) -> dict:
             raise ConfigError(f"{path}:{line_no}: {key} nests too deeply") from None
         except ValueError:  # not JSON, or an integer too long to convert
             parsed = value  # bare strings are fine for str keys
-        if want is float and isinstance(parsed, int) and not isinstance(parsed, bool):
+        if not json_is(parsed, want):
+            if want is int and isinstance(parsed, bool):
+                raise ConfigError(f"{path}:{line_no}: {key} must be an integer")
+            raise ConfigError(f"{path}:{line_no}: {key} must be {want.__name__}, got {parsed!r}")
+        if want is float and isinstance(parsed, int):
             parsed = float(str(parsed))  # past the float range: inf, not OverflowError
-        if want is int and isinstance(parsed, bool):
-            raise ConfigError(f"{path}:{line_no}: {key} must be an integer")
-        if not isinstance(parsed, want):
-            raise ConfigError(
-                f"{path}:{line_no}: {key} must be {want.__name__}, got {parsed!r}")
         if isinstance(parsed, float) and not math.isfinite(parsed):
             raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {value}")
         out[key] = parsed
@@ -185,7 +184,7 @@ def load_dataset(data_dir):
         ids = split.get(name)
         if ids is None:
             raise DataError(f"split.json lacks the {name!r} split")
-        if not isinstance(ids, list) or not all(D.is_image_id(i) for i in ids):
+        if not isinstance(ids, list) or not all(json_is(i, int) for i in ids):
             raise DataError(f"split {name} in split.json must be a list of integer image ids")
         samples = []
         for i in ids:
@@ -342,8 +341,6 @@ def cmd_train_scst(args) -> int:
                         f"checkpoint {args.checkpoint} takes {state.config.feature_dim}")
     with _config_values():
         scst = tr.ScstConfig(**_fields_of(tr.ScstConfig, cfg))
-    if ckpt.stage not in ("xe", "scst"):
-        raise ConfigError(f"unknown checkpoint stage {ckpt.stage!r}")
     if ckpt.stage == "xe":
         tr.prepare_for_scst(state, scst)
         best = None  # XE-stage validation scores are not comparable
@@ -371,10 +368,11 @@ def cmd_caption(args) -> int:
     params = state.online if args.model == "online" else state.target
     if args.beam < 1:
         raise ConfigError(f"--beam must be >= 1, got {args.beam}")
+    if args.beam > state.config.vocab_size:
+        raise ConfigError(f"beam width {args.beam} exceeds vocabulary size {state.config.vocab_size}")
     with _open_out(args.out) as fh:
         for grid in grids:
-            with _config_values():
-                top = caption_image(params, state.config, grid.grid, args.beam)[0]
+            top = caption_image(params, state.config, grid.grid, args.beam)[0]
             if not np.isfinite(top.logprob):
                 raise tr.TrainingDiverged(state.step, {"image": grid.image_id,
                                                        "logprob": top.logprob})
@@ -408,7 +406,7 @@ def cmd_evaluate(args) -> int:
             row = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
             raise DataError(f"{args.candidates}:{line_no}: not valid JSON: {exc}") from exc
-        if (not isinstance(row, dict) or not D.is_image_id(row.get("id"))
+        if (not isinstance(row, dict) or not json_is(row.get("id"), int)
                 or not isinstance(row.get("caption"), str)):
             raise DataError(f"{args.candidates}:{line_no}: needs an object with an integer id "
                             f"and a caption string")

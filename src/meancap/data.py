@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import check_crc, read_array, write_array
+from .checkpoint import check_crc, json_is, read_array, write_array
 from .rng import ROLE_DATA, generator
 
 COLORS = ["red", "blue", "green", "yellow", "black", "white", "purple", "orange"]
@@ -239,11 +239,6 @@ def write_captions(path, samples) -> None:
             fh.write(json.dumps({"id": s.features.image_id, "refs": s.references}) + "\n")
 
 
-def is_image_id(value) -> bool:
-    """A JSON image id: an integer, not a bool or a float."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def read_captions(path) -> dict:
     refs = {}
     with open(path) as fh:
@@ -255,7 +250,7 @@ def read_captions(path) -> dict:
                 row = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"captions line {line_no} is not valid JSON: {exc}") from exc
-            if not isinstance(row, dict) or not is_image_id(row.get("id")):
+            if not isinstance(row, dict) or not json_is(row.get("id"), int):
                 raise ValueError(f"captions line {line_no} needs an object with an integer id")
             texts = row.get("refs")
             if not isinstance(texts, list) or not texts or not all(isinstance(r, str) for r in texts):

@@ -5,27 +5,13 @@ reward, so the scoring path is pure and deterministic: same inputs, same
 bits.  Text is normalised by lowercasing and whitespace splitting only.
 """
 
-import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 MAX_N = 4
 ROUGE_BETA = 1.2
 CIDER_SIGMA = 6.0
 CIDER_SCALE = 10.0
-# reference sets whose tf-idf vectors ``reward`` keeps.  scst_step scores an
-# image's hypotheses one after another, so the last set is all it reuses: on
-# scst-pairs (seed 1, 60 steps) 960 of 1,200 calls hit at size 1 and 992 at
-# size 32, whose extra hits depend on the corpus and save ~0.25 ms a step
-REFERENCE_CACHE_SIZE = 1
-
-
-@dataclass
-class Score:
-    name: str
-    value: float
-    per_image: list = None
 
 
 def metric_tokens(text: str) -> list:
@@ -88,9 +74,9 @@ def _bleu_values(candidates, references, n: int) -> list:
             for m in range(1, n + 1)]
 
 
-def bleu(candidates, references, n: int = 4) -> Score:
+def bleu(candidates, references, n: int = 4) -> float:
     """Corpus-level BLEU-n: clipped precision geometric mean times brevity penalty."""
-    return Score(f"BLEU-{n}", _bleu_values(candidates, references, n)[-1])
+    return _bleu_values(candidates, references, n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +106,14 @@ def _lcs_f(cand_toks, ref_toks) -> float:
     return (1 + b2) * p * r / (r + b2 * p)
 
 
-def rouge_l(candidates, references) -> Score:
+def rouge_l(candidates, references) -> float:
     """Longest-common-subsequence F-measure, best reference per image."""
     _check_aligned(candidates, references)
     per_image = []
     for cand, refs in zip(candidates, references):
         cand_toks = metric_tokens(cand)
         per_image.append(max(_lcs_f(cand_toks, metric_tokens(r)) for r in refs))
-    return Score("ROUGE-L", sum(per_image) / len(per_image), per_image)
+    return sum(per_image) / len(per_image)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +139,6 @@ class DocumentFrequency:
         self.unseen_idf = math.log(self.num_images / 1.0)  # as if one image held it
 
 
-def _check_df(df) -> None:
-    if df is None or not df.df:
-        raise ValueError("CIDEr-D needs a document-frequency table built from a reference corpus")
-
-
 def _tfidf_vectors(tokens, df: DocumentFrequency):
     vecs, norms = [], []
     for n in range(1, MAX_N + 1):
@@ -167,17 +148,18 @@ def _tfidf_vectors(tokens, df: DocumentFrequency):
     return vecs, norms
 
 
-def _reference_vectors(refs, df: DocumentFrequency) -> tuple:
-    """(length, tf-idf vectors, norms) of each reference, in order."""
+def reference_vectors(refs, df: DocumentFrequency) -> list:
+    """(length, tf-idf vectors, norms) of each of an image's references, in
+    order: built once per image, then ``reward`` scores each caption against them."""
+    if not refs:
+        raise ValueError("every image needs at least one reference")
+    if df is None or not df.df:
+        raise ValueError("CIDEr-D needs a document-frequency table built from a reference corpus")
     out = []
     for ref in refs:
         toks = metric_tokens(ref)
         out.append((len(toks), *_tfidf_vectors(toks, df)))
-    return tuple(out)
-
-
-# keyed by the references and the table's identity; bounded, so it never grows with the corpus
-_cached_reference_vectors = functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)(_reference_vectors)
+    return out
 
 
 def _cider_image(cand_toks, ref_vectors, df: DocumentFrequency) -> float:
@@ -198,31 +180,23 @@ def _cider_image(cand_toks, ref_vectors, df: DocumentFrequency) -> float:
     return CIDER_SCALE * sum(per_n) / MAX_N
 
 
-def cider_d(candidates, references, df: DocumentFrequency) -> Score:
+def cider_d(candidates, references, df: DocumentFrequency) -> float:
     """Consensus metric: tf-idf cosine with count clipping and length penalty."""
     _check_aligned(candidates, references)
-    _check_df(df)
-    per_image = [_cider_image(metric_tokens(c), _reference_vectors(refs, df), df)
+    per_image = [_cider_image(metric_tokens(c), reference_vectors(refs, df), df)
                  for c, refs in zip(candidates, references)]
-    return Score("CIDEr-D", sum(per_image) / len(per_image), per_image)
+    return sum(per_image) / len(per_image)
 
 
-def reward(hypothesis_text: str, refs, df: DocumentFrequency) -> float:
-    """Sequence-level reward: this image's CIDEr-D against its references.
-
-    The references' vectors are built once per (references, table) pair and
-    reused for every hypothesis scored against them.
-    """
-    if not refs:
-        raise ValueError("every image needs at least one reference")
-    _check_df(df)
-    return _cider_image(metric_tokens(hypothesis_text),
-                        _cached_reference_vectors(tuple(refs), df), df)
+def reward(hypothesis_text: str, ref_vectors, df: DocumentFrequency) -> float:
+    """Sequence-level reward: CIDEr-D of one caption against an image's
+    ``reference_vectors``, built with the same table."""
+    return _cider_image(metric_tokens(hypothesis_text), ref_vectors, df)
 
 
 def evaluate_all(candidates, references) -> dict:
     """The standard evaluation bundle keyed the way the CLI reports it."""
     out = {f"BLEU-{n}": v for n, v in enumerate(_bleu_values(candidates, references, MAX_N), 1)}
-    out["ROUGE-L"] = rouge_l(candidates, references).value
-    out["CIDEr-D"] = cider_d(candidates, references, DocumentFrequency(references)).value
+    out["ROUGE-L"] = rouge_l(candidates, references)
+    out["CIDEr-D"] = cider_d(candidates, references, DocumentFrequency(references))
     return out

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import json_is
 from .rng import ROLE_INIT, generator, name_key
 from .tokenizer import BOS_ID
 
@@ -38,8 +39,7 @@ class ModelConfig:
     def __post_init__(self):
         for f in fields(self):  # a checkpoint header is outside input
             value = getattr(self, f.name)
-            allowed = (int, float) if f.type is float else f.type  # an integer is a fine float
-            if not isinstance(value, allowed) or isinstance(value, bool) != (f.type is bool):
+            if not json_is(value, f.type):
                 raise TypeError(f"{f.name} must be {f.type.__name__}, got {value!r}")
         for name in ("feature_dim", "num_encoder_layers", "num_decoder_layers", "model_dim",
                      "feedforward_dim", "num_heads"):
@@ -148,8 +148,8 @@ def _attention(query_in, k, v, params, prefix, config, mask=None):
     return _linear(T.attention(q, k, v, config.num_heads, mask), params, f"{prefix}.wo")
 
 
-def _sublayer(x, out, params, norm_prefix, config, training, rng):
-    out = T.dropout(out, config.dropout_rate, rng, training)
+def _sublayer(x, out, params, norm_prefix, config, rng):
+    out = T.dropout(out, config.dropout_rate, rng)
     return T.layer_norm(T.add(x, out), params[f"{norm_prefix}.gain"], params[f"{norm_prefix}.bias"])
 
 
@@ -181,17 +181,15 @@ def sinusoidal_encoding(length: int, d: int, dtype=np.float64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
+def encode(grid, params, config: ModelConfig, rng=None) -> list:
     """All encoder layer outputs, each (G, model_dim), for a (G, F) grid;
-    a (B, G, F) batch of grids gives (B, G, model_dim) outputs.
+    a (B, G, F) batch of grids gives (B, G, model_dim) outputs.  Dropout
+    draws from ``rng`` and runs only when one is given.
 
     Grid cells carry no positional encoding: the encoder treats them as a
     set, so permuting cells permutes every layer output identically.
     """
-    if isinstance(grid, T.Tensor):
-        x = grid
-    else:
-        x = T.Tensor(np.asarray(grid, dtype=params["encoder.input.weight"].data.dtype))
+    x = T.Tensor(np.asarray(grid, dtype=params["encoder.input.weight"].data.dtype))
     if x.shape[-1] != config.feature_dim:
         raise ValueError(f"feature dim {x.shape[-1]} does not match config feature_dim {config.feature_dim}")
     x = _linear(x, params, "encoder.input")
@@ -206,8 +204,8 @@ def encode(grid, params, config: ModelConfig, training=False, rng=None) -> list:
             k = T.concat([k, T.embedding(params[f"{prefix}.slots.key"], rows)], axis=-2)
             v = T.concat([v, T.embedding(params[f"{prefix}.slots.value"], rows)], axis=-2)
         attn = _attention(x, k, v, params, prefix, config)
-        x = _sublayer(x, attn, params, f"enc{i}.norm1", config, training, rng)
-        x = _sublayer(x, _feedforward(x, params, f"enc{i}.ff"), params, f"enc{i}.norm2", config, training, rng)
+        x = _sublayer(x, attn, params, f"enc{i}.norm1", config, rng)
+        x = _sublayer(x, _feedforward(x, params, f"enc{i}.ff"), params, f"enc{i}.norm2", config, rng)
         outputs.append(x)
     return outputs
 
@@ -230,7 +228,7 @@ def _cross_attend(x, memory, params, j, config):
 
 
 def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mask,
-                  past=None, training=False, rng=None):
+                  past=None, rng=None):
     """Run the decoder layers on new rows; returns (logits, per-layer rows).
 
     Row i embeds ``token_ids[..., i]`` at position ``positions[i]``; leading
@@ -249,7 +247,7 @@ def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mas
     x = T.scale(T.embedding(params["embed.tokens"], token_ids), math.sqrt(d))
     pe = sinusoidal_encoding(last + 1, d, x.dtype)[positions]
     x = T.add(x, T.Tensor(pe))
-    x = T.dropout(x, config.dropout_rate, rng, training)
+    x = T.dropout(x, config.dropout_rate, rng)
     rows = []
     for j in range(config.num_decoder_layers):
         kv = x if past is None else T.concat([past[j], x], axis=0)
@@ -257,15 +255,14 @@ def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mas
         sa = f"dec{j}.self"
         attn = _attention(x, _linear(kv, params, f"{sa}.wk"), _linear(kv, params, f"{sa}.wv"),
                           params, sa, config, mask=mask)
-        x = _sublayer(x, attn, params, f"dec{j}.norm1", config, training, rng)
+        x = _sublayer(x, attn, params, f"dec{j}.norm1", config, rng)
         cross = _cross_attend(x, memory[j], params, j, config)
-        x = _sublayer(x, cross, params, f"dec{j}.norm2", config, training, rng)
-        x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, training, rng)
+        x = _sublayer(x, cross, params, f"dec{j}.norm2", config, rng)
+        x = _sublayer(x, _feedforward(x, params, f"dec{j}.ff"), params, f"dec{j}.norm3", config, rng)
     return _linear(x, params, "output"), rows
 
 
-def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
-                  training=False, rng=None) -> T.Tensor:
+def decode_logits(token_ids, encoder_layers, params, config: ModelConfig, rng=None) -> T.Tensor:
     """Teacher-forced logits (T, N): row t scores the token following position t.
 
     ``token_ids`` is one BOS-led sequence (T,) or a batch (B, T) of them,
@@ -279,6 +276,6 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig,
     t = token_ids.shape[-1]
     mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
     logits, _ = decode_layers(token_ids, np.arange(t), cross_memory(encoder_layers, params, config),
-                              params, config, mask, training=training, rng=rng)
+                              params, config, mask, rng=rng)
     return logits
 

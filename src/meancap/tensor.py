@@ -72,15 +72,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, dtype=np.float64) -> Tensor:
-    """Constant leaf tensor."""
-    return Tensor(np.asarray(data, dtype=dtype))
-
-
-def parameter(data, dtype=None) -> Tensor:
+def parameter(data) -> Tensor:
     """Trainable leaf tensor."""
-    arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-    return Tensor(arr, requires_grad=True)
+    return Tensor(np.asarray(data), requires_grad=True)
 
 
 def _copied(like: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -306,13 +300,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out, (x, gain, bias), bw)
 
 
-def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; identity when evaluating or rate is zero.
+def dropout(x: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout; identity without an ``rng`` (evaluating) or at rate zero.
 
     The mask comes from the caller's keyed stream so that the draw sequence
     is a pure function of (seed, role, step, call index).
     """
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from . import tensor as T
 from .assignment import BagEmbedder, hungarian, pairing_cost
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, json_is, save_checkpoint
 from .decoding import beam_search, caption_image
 from .fastdecode import FastDecoder
 from .model import ModelConfig, copy_params, decode_logits, encode, init_params, param_shapes
@@ -166,11 +166,10 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
     inputs, targets, mask = _teacher_forcing([ids for _, ids in batch])
     if state.lambda_kd > 0.0:
         with T.no_grad():
-            enc_t = encode(grids, state.target, cfg, training=True, rng=rng_target)
-            logits_t = decode_logits(inputs, enc_t, state.target, cfg,
-                                     training=True, rng=rng_target)
-    enc_o = encode(grids, state.online, cfg, training=True, rng=rng_online)
-    logits_o = decode_logits(inputs, enc_o, state.online, cfg, training=True, rng=rng_online)
+            enc_t = encode(grids, state.target, cfg, rng=rng_target)
+            logits_t = decode_logits(inputs, enc_t, state.target, cfg, rng=rng_target)
+    enc_o = encode(grids, state.online, cfg, rng=rng_online)
+    logits_o = decode_logits(inputs, enc_o, state.online, cfg, rng=rng_online)
     total = ce = T.cross_entropy(logits_o, targets, mask)
     kd = None
     if state.lambda_kd > 0.0:
@@ -275,7 +274,8 @@ def scst_step(state: TrainState, batch, scst: ScstConfig, df: metrics.DocumentFr
     for beam, (_, refs) in zip(online_beams, batch):
         captions = [detokenize_ids(h.ids, vocab) for h in beam]
         any_text = any_text or any(captions)
-        rewards = [metrics.reward(c, refs, df) for c in captions]
+        ref_vectors = metrics.reference_vectors(refs, df)
+        rewards = [metrics.reward(c, ref_vectors, df) for c in captions]
         if not all(math.isfinite(r) for r in rewards):
             raise TrainingDiverged(state.step + 1, {"rewards": rewards})
         top_rewards.append(rewards[0])
@@ -359,7 +359,7 @@ def validate_cider(params, config: ModelConfig, samples, vocab: Vocabulary,
         beam = caption_image(params, config, s.features.grid, beam_size)
         candidates.append(detokenize_ids(beam[0].ids, vocab))
         references.append(s.references)
-    return metrics.cider_d(candidates, references, df).value
+    return metrics.cider_d(candidates, references, df)
 
 
 def _open_log(path, step: int):
@@ -409,8 +409,9 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
 
 
 def state_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild (state, vocab) from a loaded checkpoint; one whose config,
-    parameters or vocabulary do not fit together is a ValueError."""
+    """Rebuild (state, vocab) from a loaded checkpoint, adopting its arrays
+    (no update writes one in place); one whose config, parameters, vocabulary,
+    stage or best score do not fit together is a ValueError."""
     try:
         config = ModelConfig(**ckpt.config)
     except TypeError as exc:  # a key missing, unknown or of the wrong type
@@ -423,9 +424,14 @@ def state_from_checkpoint(ckpt: Checkpoint):
         raise ValueError("checkpoint vocab needs tokens as a list of strings and merges as string pairs")
     vocab = Vocabulary(list(tokens), [tuple(m) for m in merges])
     counters = (ckpt.step, ckpt.adam_t, ckpt.seed)
-    if any(type(n) is not int for n in counters) or not 0 <= ckpt.adam_t <= ckpt.step:
+    if not all(json_is(n, int) for n in counters) or not 0 <= ckpt.adam_t <= ckpt.step:
         raise ValueError(f"checkpoint step, adam_t and seed must be integers with "
                          f"0 <= adam_t <= step, got {counters}")
+    if ckpt.stage not in ("xe", "scst"):
+        raise ValueError(f"unknown checkpoint stage {ckpt.stage!r}")
+    cider = ckpt.best.get("cider_target") if isinstance(ckpt.best, dict) else None
+    if ckpt.best is not None and not (json_is(cider, float) and math.isfinite(cider)):
+        raise ValueError(f"checkpoint best needs a finite cider_target, got {ckpt.best!r}")
     if len(vocab.tokens) != config.vocab_size:
         raise ValueError(f"{len(vocab.tokens)} vocabulary tokens for vocab_size {config.vocab_size}")
     shapes = dict(param_shapes(config))
@@ -434,10 +440,10 @@ def state_from_checkpoint(ckpt: Checkpoint):
             raise ValueError(f"checkpoint group {group} does not hold its config's parameters")
     state = TrainState(
         config=config,
-        online={n: T.parameter(a.copy()) for n, a in ckpt.groups["online"].items()},
-        target={n: T.parameter(a.copy()) for n, a in ckpt.groups["target"].items()},
-        m={n: a.copy() for n, a in ckpt.groups["adam_m"].items()},
-        v={n: a.copy() for n, a in ckpt.groups["adam_v"].items()},
+        online={n: T.parameter(a) for n, a in ckpt.groups["online"].items()},
+        target={n: T.parameter(a) for n, a in ckpt.groups["target"].items()},
+        m=dict(ckpt.groups["adam_m"]),  # Adam rebinds its moments in these dicts, not the checkpoint's
+        v=dict(ckpt.groups["adam_v"]),
         **{name: getattr(ckpt, name) for name in _SHARED},
     )
     return state, vocab

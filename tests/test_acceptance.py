@@ -34,7 +34,7 @@ from test_assignment import brute_force, row_total
 from test_decoding import enumerate_all, greedy, table_model
 from test_metrics import oracle_bleu, oracle_cider, oracle_rouge, random_corpus
 from test_model import pin_gates_to_last_layer
-from test_tensor import FixedRng, leaf
+from test_tensor import FixedRng, constant, leaf
 from test_training import plain_xe_loop, snapshot, tiny_setup, unrolled_ema
 
 
@@ -45,7 +45,7 @@ from test_training import plain_xe_loop, snapshot, tiny_setup, unrolled_ema
 
 def _w(rng, shape):
     """Fixed random projection to a scalar, so every output entry matters."""
-    return T.tensor(rng.standard_normal(shape))
+    return constant(rng.standard_normal(shape))
 
 
 def _case_add(rng):
@@ -125,7 +125,7 @@ def _case_dropout(rng):
     t, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     x, w = leaf(rng, t, d), _w(rng, (t, d))
     fixed = FixedRng(rng.random((t, d)))  # mask replays across rebuilds
-    return lambda: T.sum_all(T.mul(T.dropout(x, 0.35, fixed, training=True), w)), [x]
+    return lambda: T.sum_all(T.mul(T.dropout(x, 0.35, fixed), w)), [x]
 
 
 def _case_sum_all(rng):
@@ -156,7 +156,7 @@ def _case_sequence_log_prob(rng):
 
 def _case_masked_mse(rng):
     t, n = int(rng.integers(2, 6)), int(rng.integers(3, 6))
-    target = T.tensor(rng.standard_normal((t, n)))  # detached side
+    target = constant(rng.standard_normal((t, n)))  # detached side
     online = leaf(rng, t, n)
     _, mask = _targets(rng, t, n)
     return lambda: T.masked_mse(target, online, mask), [online]
@@ -174,7 +174,7 @@ _GRAD_CASES = [
 ]
 
 # public functions of meancap.tensor that are not graph operations
-_NOT_OPS = {"tensor", "parameter", "backward"}
+_NOT_OPS = {"parameter", "backward"}
 
 
 def test_01_gradient_checks_cover_every_operation():
@@ -246,7 +246,7 @@ def test_03_target_model_receives_no_gradient_in_either_stage():
     scst = tr.ScstConfig(strategy="all", beam_size=3, learning_rate=1e-5, lambda_kd=0.5)
     tr.prepare_for_scst(state, scst)
     df = M.DocumentFrequency([s.references for s in samples])
-    emb = A.BagEmbedder(len(vocab.tokens))
+    emb = A.BagEmbedder(len(vocab.tokens), np.ones(len(vocab.tokens)))
     tr.scst_step(state, [(samples[0].features.grid, samples[0].references)],
                  scst, df, vocab, emb)
     assert all(p.grad is None for p in state.target.values())
@@ -292,25 +292,25 @@ def test_05_metrics_match_independent_oracles():
     for _ in range(20):
         cands, refs = random_corpus(rng)
         for n in range(1, 5):
-            err = abs(M.bleu(cands, refs, n).value - oracle_bleu(cands, refs, n))
+            err = abs(M.bleu(cands, refs, n) - oracle_bleu(cands, refs, n))
             worst = max(worst, err)
             assert err < 1e-9
-        err = abs(M.rouge_l(cands, refs).value - oracle_rouge(cands, refs))
+        err = abs(M.rouge_l(cands, refs) - oracle_rouge(cands, refs))
         worst = max(worst, err)
         assert err < 1e-9
-        got = M.cider_d(cands, refs, M.DocumentFrequency(refs)).value
+        got = M.cider_d(cands, refs, M.DocumentFrequency(refs))
         err = abs(got - oracle_cider(cands, refs)[0])
         worst = max(worst, err)
         assert err < 1e-9
 
     # trivial corpora pin the endpoints exactly
     same = ["a red ball on the mat", "two dogs ran fast"]
-    assert M.bleu(same, [[s] for s in same], 4).value == 1.0
-    assert M.rouge_l(same, [[s] for s in same]).value == 1.0
+    assert M.bleu(same, [[s] for s in same], 4) == 1.0
+    assert M.rouge_l(same, [[s] for s in same]) == 1.0
     disjoint_refs = [["blue cube spins"], ["green star sits"]]
-    assert M.bleu(same, disjoint_refs, 4).value == 0.0
-    assert M.rouge_l(same, disjoint_refs).value == 0.0
-    assert M.cider_d(same, disjoint_refs, M.DocumentFrequency(disjoint_refs)).value == 0.0
+    assert M.bleu(same, disjoint_refs, 4) == 0.0
+    assert M.rouge_l(same, disjoint_refs) == 0.0
+    assert M.cider_d(same, disjoint_refs, M.DocumentFrequency(disjoint_refs)) == 0.0
     print(f"PASS 5: BLEU-1..4 / ROUGE-L / CIDEr-D match oracles on 20 random "
           f"corpora, worst abs error {worst:.2e} (< 1e-9); endpoints exact")
 
@@ -359,8 +359,8 @@ def test_07_equal_rewards_produce_exactly_zero_update():
     df = M.DocumentFrequency([alien_refs])
     before = snapshot(state.online)
     scst = tr.ScstConfig(strategy="best", beam_size=3, learning_rate=1e-3, lambda_kd=0.0)
-    report = tr.scst_step(state, [(samples[0].features.grid, alien_refs)],
-                          scst, df, vocab, A.BagEmbedder(len(vocab.tokens)))
+    emb = A.BagEmbedder(len(vocab.tokens), np.ones(len(vocab.tokens)))
+    report = tr.scst_step(state, [(samples[0].features.grid, alien_refs)], scst, df, vocab, emb)
     assert report["reward_mean"] == 0.0 and report["baseline"] == 0.0
     assert snapshot(state.online) == before  # bit for bit
     assert state.step == 1 and state.adam_t == 1  # the step still counts
@@ -462,7 +462,8 @@ def _mean_beam_reward(params, cfg, samples, vocab, df, k=5):
     for s in samples:
         beam = caption_image(params, cfg, s.features.grid, k)
         texts = [detokenize_ids(h.ids, vocab) for h in beam]
-        per_image.append(float(np.mean([M.reward(t, s.references, df) for t in texts])))
+        vectors = M.reference_vectors(s.references, df)
+        per_image.append(float(np.mean([M.reward(t, vectors, df) for t in texts])))
     return float(np.mean(per_image))
 
 

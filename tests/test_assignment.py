@@ -96,7 +96,7 @@ def seq(*content):
 
 
 def test_bag_embedder_unit_norm_and_identity_cost():
-    emb = A.BagEmbedder(vocab_size=12)
+    emb = A.BagEmbedder(12, np.ones(12))
     a = emb.embed(seq(4, 5, 6, 5))
     assert abs(np.linalg.norm(a) - 1.0) < 1e-9
     cost = A.pairing_cost([seq(4, 5, 6, 5)], [seq(4, 5, 6, 5)], emb)
@@ -105,7 +105,7 @@ def test_bag_embedder_unit_norm_and_identity_cost():
 
 def test_pairing_cost_range_and_zero_iff_identical():
     rng = np.random.default_rng(5)
-    emb = A.BagEmbedder(vocab_size=20)
+    emb = A.BagEmbedder(20, np.ones(20))
     beams = [seq(*rng.integers(3, 20, size=rng.integers(1, 6)).tolist()) for _ in range(6)]
     cost = A.pairing_cost(beams, beams, emb)
     assert np.all(cost >= -1e-12) and np.all(cost <= 2.0 + 1e-12)
@@ -136,7 +136,7 @@ def test_all_zero_weight_caption_falls_back_to_counts():
 
 
 def test_hungarian_pairs_near_duplicates_first():
-    emb = A.BagEmbedder(vocab_size=30)
+    emb = A.BagEmbedder(30, np.ones(30))
     target = [seq(3, 4, 5), seq(6, 7), seq(8, 9, 10)]
     online = [seq(8, 9, 10), seq(3, 4, 5), seq(6, 7)]
     cost = A.pairing_cost(target, online, emb)

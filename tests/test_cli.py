@@ -251,10 +251,31 @@ def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, comm
 
 
 def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    out.write_text("earlier captions\n")
     assert cli.main(["caption", str(overfit_run / "xe" / "last.ckpt"),
                      str(overfit_run / "data" / "features.bin"),
-                     "--beam", "4000", "--out", str(tmp_path / "c.jsonl")]) == 2
+                     "--beam", "4000", "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert out.read_text() == "earlier captions\n"  # refused before --out is opened
+
+
+@pytest.mark.parametrize("keys", [{"best": {}}, {"best": {"cider_target": "0.9"}},
+                                  {"best": {"cider_target": True}}, {"best": {"cider_target": math.nan}},
+                                  {"stage": "pretrain"}])
+def test_checkpoint_with_malformed_best_or_stage_exits_three(overfit_run, tmp_path, capsys, keys):
+    bad = with_header_keys(overfit_run / "xe" / "last.ckpt", tmp_path / "bad.ckpt", **keys)
+    data = overfit_run / "data"
+    xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=str(data), out_dir=str(tmp_path / "xe"),
+                       steps=401, batch_size=8, warmup=100, val_every=1, val_beam=3, **TINY_MODEL)
+    scst_cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(data), out_dir=str(tmp_path / "scst"),
+                         steps=1, beam_size=3, val_every=1, val_beam=3)
+    for argv in (["train-xe", xe_cfg, "--resume", bad], ["train-scst", scst_cfg, bad],
+                 ["caption", bad, str(data / "features.bin"), "--out", str(tmp_path / "c.jsonl")]):
+        assert cli.main(argv) == 3, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "data" and next(iter(keys)) in err["detail"], err
+    assert not {"xe", "scst", "c.jsonl"} & {p.name for p in tmp_path.iterdir()}
 
 
 def test_caption_and_evaluate_create_the_out_directory(overfit_run, tmp_path):

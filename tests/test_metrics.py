@@ -145,32 +145,32 @@ def random_corpus(rng, max_images=5, max_refs=5):
 def test_perfect_match_bleu4_is_one():
     cands = ["a red ball on the mat", "two dogs run fast today"]
     refs = [[c] for c in cands]
-    assert M.bleu(cands, refs, 4).value == 1.0
+    assert M.bleu(cands, refs, 4) == 1.0
 
 
 def test_disjoint_tokens_score_zero():
     cands, refs = ["a b c d"], [["e f g h"]]
-    assert M.bleu(cands, refs, 1).value == 0.0
-    assert M.rouge_l(cands, refs).value == 0.0
+    assert M.bleu(cands, refs, 1) == 0.0
+    assert M.rouge_l(cands, refs) == 0.0
     df = M.DocumentFrequency(refs)
-    assert M.cider_d(cands, refs, df).value == 0.0
+    assert M.cider_d(cands, refs, df) == 0.0
 
 
 def test_identical_rouge_is_one():
-    assert M.rouge_l(["x y z"], [["x y z"]]).value == pytest.approx(1.0, abs=1e-12)
+    assert M.rouge_l(["x y z"], [["x y z"]]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empty_candidate_cider_is_zero():
     refs = [["a red ball"]]
     df = M.DocumentFrequency(refs)
-    assert M.cider_d([""], refs, df).value == 0.0
+    assert M.cider_d([""], refs, df) == 0.0
 
 
 def test_rouge_handles_known_lcs():
     # candidate "a b c d" vs reference "a c d": LCS=3, P=3/4, R=1
     p, r = 0.75, 1.0
     expect = (1 + 1.44) * p * r / (r + 1.44 * p)
-    got = M.rouge_l(["a b c d"], [["a c d"]]).value
+    got = M.rouge_l(["a b c d"], [["a c d"]])
     assert got == pytest.approx(expect, abs=1e-12)
     assert got == pytest.approx(oracle_rouge(["a b c d"], [["a c d"]]), abs=1e-12)
 
@@ -183,7 +183,7 @@ def test_bleu_hand_computed_corpus():
     ]
     # clipped/total by hand: p1=10/11, p2=7/9, p3=5/7, p4=3/5; c=11, r=12
     expect = math.exp(1 - 12 / 11) * (10 / 11 * 7 / 9 * 5 / 7 * 3 / 5) ** 0.25
-    assert M.bleu(cands, refs, 4).value == pytest.approx(expect, abs=1e-12)
+    assert M.bleu(cands, refs, 4) == pytest.approx(expect, abs=1e-12)
 
 
 def test_brevity_tie_prefers_shorter_reference():
@@ -192,11 +192,16 @@ def test_brevity_tie_prefers_shorter_reference():
     # r=3 (shorter wins) gives bp=1; r=5 would give exp(1-5/4).
     cands = ["a b c d"]
     refs = [["a b c", "a b c d e"]]
-    got = M.bleu(cands, refs, 1).value
+    got = M.bleu(cands, refs, 1)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 # --- oracle sweeps ---------------------------------------------------------
+
+
+def per_image_cider(cands, refs, df) -> list:
+    """Each image's CIDEr-D, scored the way an SCST step rewards a caption."""
+    return [M.reward(c, M.reference_vectors(r, df), df) for c, r in zip(cands, refs)]
 
 
 def test_metrics_match_oracles_on_random_corpora():
@@ -204,18 +209,18 @@ def test_metrics_match_oracles_on_random_corpora():
     for _ in range(25):
         cands, refs = random_corpus(rng)
         for n in range(1, 5):
-            got = M.bleu(cands, refs, n).value
+            got = M.bleu(cands, refs, n)
             assert abs(got - oracle_bleu(cands, refs, n)) < 1e-9
             assert 0.0 <= got <= 1.0
-        got_r = M.rouge_l(cands, refs).value
+        got_r = M.rouge_l(cands, refs)
         assert abs(got_r - oracle_rouge(cands, refs)) < 1e-9
         assert 0.0 <= got_r <= 1.0
         df = M.DocumentFrequency(refs)
         got_c = M.cider_d(cands, refs, df)
         want_mean, want_per = oracle_cider(cands, refs)
-        assert abs(got_c.value - want_mean) < 1e-9
-        assert got_c.value >= 0.0
-        for a, b in zip(got_c.per_image, want_per):
+        assert abs(got_c - want_mean) < 1e-9
+        assert got_c >= 0.0
+        for a, b in zip(per_image_cider(cands, refs, df), want_per):
             assert abs(a - b) < 1e-9
 
 
@@ -225,32 +230,33 @@ def test_reference_order_invariance():
     refs2 = [list(reversed(r)) for r in refs]
     df1, df2 = M.DocumentFrequency(refs), M.DocumentFrequency(refs2)
     for n in range(1, 5):
-        assert M.bleu(cands, refs, n).value == M.bleu(cands, refs2, n).value
-    assert M.rouge_l(cands, refs).value == M.rouge_l(cands, refs2).value
-    assert M.cider_d(cands, refs, df1).value == M.cider_d(cands, refs2, df2).value
+        assert M.bleu(cands, refs, n) == M.bleu(cands, refs2, n)
+    assert M.rouge_l(cands, refs) == M.rouge_l(cands, refs2)
+    assert M.cider_d(cands, refs, df1) == M.cider_d(cands, refs2, df2)
 
 
 def test_duplicate_image_changes_df_deterministically():
     cands = ["a red ball", "a blue cube"]
     refs = [["a red ball sits"], ["a blue cube spins"]]
-    base = M.cider_d(cands, refs, M.DocumentFrequency(refs))
+    base = per_image_cider(cands, refs, M.DocumentFrequency(refs))
     # duplicating image 1 raises df for its grams and the corpus size
     cands3, refs3 = cands + [cands[0]], refs + [refs[0]]
-    dup = M.cider_d(cands3, refs3, M.DocumentFrequency(refs3))
+    df3 = M.DocumentFrequency(refs3)
+    dup, dup_per = M.cider_d(cands3, refs3, df3), per_image_cider(cands3, refs3, df3)
     want_mean, want_per = oracle_cider(cands3, refs3)
-    assert dup.value == pytest.approx(want_mean, abs=1e-12)
-    for a, b in zip(dup.per_image, want_per):
+    assert dup == pytest.approx(want_mean, abs=1e-12)
+    for a, b in zip(dup_per, want_per):
         assert a == pytest.approx(b, abs=1e-12)
-    assert dup.per_image[0] != base.per_image[0]
+    assert dup_per[0] != base[0]
 
 
 def test_reward_is_pure_and_matches_cider():
     cands, refs = random_corpus(np.random.default_rng(17))
     df = M.DocumentFrequency(refs)
-    r1 = M.reward(cands[0], refs[0], df)
-    r2 = M.reward(cands[0], refs[0], df)
+    r1 = M.reward(cands[0], M.reference_vectors(refs[0], df), df)
+    r2 = M.reward(cands[0], M.reference_vectors(refs[0], df), df)
     assert r1 == r2
-    assert r1 == M.cider_d(cands, refs, df).per_image[0]
+    assert r1 == M.cider_d(cands[:1], refs[:1], df)
 
 
 def test_error_paths():
@@ -258,9 +264,9 @@ def test_error_paths():
         M.bleu([], [], 4)
     good = M.DocumentFrequency([["a"]])
     with pytest.raises(ValueError, match="every image needs at least one reference"):
-        M.reward("a", [], good)
+        M.reference_vectors([], good)
     with pytest.raises(ValueError, match="CIDEr-D needs a document-frequency table"):
-        M.reward("a", ["a"], None)
+        M.reference_vectors(["a"], None)
     with pytest.raises(ValueError):
         M.bleu(["a"], [["a"], ["b"]], 4)
     with pytest.raises(ValueError):
@@ -327,14 +333,14 @@ def test_evaluate_all_bleu_equals_four_separate_bleu_calls(images):
     refs = [r for _, r in images]
     out = M.evaluate_all(cands, refs)
     for n in range(1, M.MAX_N + 1):
-        assert out[f"BLEU-{n}"] == M.bleu(cands, refs, n).value == per_order_bleu(cands, refs, n)
+        assert out[f"BLEU-{n}"] == M.bleu(cands, refs, n) == per_order_bleu(cands, refs, n)
 
 
 # --- the uncached reward ------------------------------------------------------
 # Copied verbatim from the implementation that rebuilt every reference's
 # vectors per hypothesis (only the names carry an "oracle" prefix, and idf is
-# the table's Counter lookup it used): the cached reward must equal it bit
-# for bit.
+# the table's Counter lookup it used): the reward against vectors built once
+# per image must equal it bit for bit.
 
 
 def oracle_idf(df, gram) -> float:
@@ -378,28 +384,25 @@ def test_reward_equals_the_uncached_reward_bit_for_bit():
         cands, refs = random_corpus(rng, max_images=4, max_refs=5)
         df = M.DocumentFrequency(refs)
         # each image scored against several hypotheses in turn, as an SCST
-        # step does: the later ones reuse the cached reference vectors
+        # step does: all of them against the image's vectors, built once
         for image_refs in refs:
+            vectors = M.reference_vectors(image_refs, df)
             for text in cands + ["", "zebra", "zebra quokka the cat", "THE Cat sat sat sat"]:
-                assert M.reward(text, image_refs, df) == oracle_reward(text, image_refs, df)
-            # a list or a tuple of the same references is the same key
-            assert M.reward(cands[0], tuple(image_refs), df) == oracle_reward(cands[0], image_refs, df)
+                assert M.reward(text, vectors, df) == oracle_reward(text, image_refs, df)
+            # a list or a tuple of the same references builds the same vectors
+            assert (M.reward(cands[0], M.reference_vectors(tuple(image_refs), df), df)
+                    == oracle_reward(cands[0], image_refs, df))
 
 
-def test_reward_cache_is_keyed_by_the_table_and_bounded():
+def test_reward_reads_the_table_its_reference_vectors_were_built_with():
     refs = ["a red ball on the mat", "the red ball sits"]
     # the same references inside two corpora give two idf tables
     df_small = M.DocumentFrequency([refs, ["a blue cube"]])
     df_large = M.DocumentFrequency([refs] + [["the red cube spins", "a ball"]] * 4)
     texts = ["a red ball", "the ball", "red red mat", ""]
-    small = [M.reward(t, refs, df_small) for t in texts]
-    large = [M.reward(t, refs, df_large) for t in texts]
-    for _ in range(2):  # interleaved: a cache keyed by the references alone mixes them up
-        for t, want_small, want_large in zip(texts, small, large):
-            assert M.reward(t, refs, df_small) == want_small == oracle_reward(t, refs, df_small)
-            assert M.reward(t, refs, df_large) == want_large == oracle_reward(t, refs, df_large)
+    small = [M.reward(t, M.reference_vectors(refs, df_small), df_small) for t in texts]
+    large = [M.reward(t, M.reference_vectors(refs, df_large), df_large) for t in texts]
+    for t, want_small, want_large in zip(texts, small, large):
+        assert want_small == oracle_reward(t, refs, df_small)
+        assert want_large == oracle_reward(t, refs, df_large)
     assert small[:3] != large[:3]
-    for i in range(2 * M.REFERENCE_CACHE_SIZE):
-        M.reward("a", [f"ref {i}"], df_small)
-    info = M._cached_reference_vectors.cache_info()
-    assert info.maxsize == M.REFERENCE_CACHE_SIZE and info.currsize <= M.REFERENCE_CACHE_SIZE

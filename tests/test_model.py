@@ -284,11 +284,11 @@ def test_dropout_draws_affect_training_mode_only():
     enc, ids = enc_and_ids(rng, cfg, params)
     kr = KeyedRng(seed=1, role=ROLE_ONLINE)
     kr.begin_step(1)
-    dropped = mdl.decode_logits(ids, enc, params, cfg, training=True, rng=kr).data
+    dropped = mdl.decode_logits(ids, enc, params, cfg, rng=kr).data
     clean = mdl.decode_logits(ids, enc, params, cfg).data
     assert not np.allclose(dropped, clean, atol=1e-8)
     kr.begin_step(1)
-    again = mdl.decode_logits(ids, enc, params, cfg, training=True, rng=kr).data
+    again = mdl.decode_logits(ids, enc, params, cfg, rng=kr).data
     np.testing.assert_array_equal(dropped, again)
 
 

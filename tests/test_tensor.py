@@ -28,6 +28,11 @@ def leaf(rng, *shape):
     return T.parameter(rng.standard_normal(shape))
 
 
+def constant(data, dtype=np.float64):
+    """A leaf no gradient flows to."""
+    return T.Tensor(np.asarray(data, dtype=dtype))
+
+
 def test_add_sub_mul_gradients():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -66,15 +71,15 @@ def test_linear_batched_gradients():
         x = leaf(rng, 2, 3, 4)
         w = leaf(rng, 4, 3)
         b = leaf(rng, 3)
-        proj = T.tensor(rng.standard_normal((2, 3, 3)))
+        proj = constant(rng.standard_normal((2, 3, 3)))
         check_gradients(lambda: T.sum_all(T.mul(T.linear(x, w, b), proj)), [x, w, b])
 
 
 def test_linear_shape_errors_report_both_shapes():
-    x = T.tensor(np.zeros((3, 4)))
-    w = T.tensor(np.zeros((5, 2)))
+    x = constant(np.zeros((3, 4)))
+    w = constant(np.zeros((5, 2)))
     with pytest.raises(ValueError) as exc:
-        T.linear(x, w, T.tensor(np.zeros(2)))
+        T.linear(x, w, constant(np.zeros(2)))
     assert "(3, 4)" in str(exc.value) and "(5, 2)" in str(exc.value)
 
 
@@ -84,7 +89,7 @@ def test_linear_is_bitwise_x_at_w_plus_b():
         x = rng.standard_normal((2, 5, 8)).astype(dtype)
         w = rng.standard_normal((8, 6)).astype(dtype)
         b = rng.standard_normal(6).astype(dtype)
-        got = T.linear(T.tensor(x, dtype), T.parameter(w), T.parameter(b)).data
+        got = T.linear(constant(x, dtype), T.parameter(w), T.parameter(b)).data
         assert got.dtype == dtype and got.tobytes() == (x @ w + b).tobytes()
 
 
@@ -113,9 +118,9 @@ def test_attention_matches_per_head_loop():
     for heads, tq, tk in ((1, 3, 3), (2, 2, 5), (4, 4, 6)):
         q, k, v = (rng.standard_normal((2, t, 8)) for t in (tq, tk, tk))
         mask = _offset_causal_mask(tq, tk)
-        got = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), heads, mask).data
+        got = T.attention(constant(q), constant(k), constant(v), heads, mask).data
         np.testing.assert_allclose(got, _attention_oracle(q, k, v, heads, mask), rtol=0, atol=1e-12)
-        unmasked = T.attention(T.tensor(q), T.tensor(k), T.tensor(v), heads).data
+        unmasked = T.attention(constant(q), constant(k), constant(v), heads).data
         np.testing.assert_allclose(unmasked, _attention_oracle(q, k, v, heads, 0.0), rtol=0, atol=1e-12)
 
 
@@ -124,7 +129,7 @@ def test_concat_slice_gradients():
     for _ in range(10):
         a = leaf(rng, 2, 3)
         b = leaf(rng, 4, 3)
-        w = T.tensor(rng.standard_normal((3, 3)))
+        w = constant(rng.standard_normal((3, 3)))
 
         def loss():
             cat = T.concat([a, b], axis=0)
@@ -138,12 +143,12 @@ def test_embedding_gradients_with_repeated_ids():
     for _ in range(10):
         table = leaf(rng, 6, 4)
         ids = rng.integers(0, 6, size=7)
-        weights = T.tensor(rng.standard_normal((7, 4)))
+        weights = constant(rng.standard_normal((7, 4)))
         check_gradients(lambda: T.sum_all(T.mul(T.embedding(table, ids), weights)), [table])
 
 
 def test_embedding_rejects_out_of_range():
-    table = T.tensor(np.zeros((4, 2)))
+    table = constant(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         T.embedding(table, [0, 4])
 
@@ -165,7 +170,7 @@ def test_softmax_rows_are_a_simplex():
     for _ in range(20):
         q = rng.standard_normal((5, 9)) * rng.uniform(0.1, 30.0)
         k = rng.standard_normal((9, 9))
-        p = T.attention(T.tensor(q), T.tensor(k), T.tensor(np.eye(9)), 1).data
+        p = T.attention(constant(q), constant(k), constant(np.eye(9)), 1).data
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -176,8 +181,8 @@ def test_softmax_gradients():
     for _ in range(10):
         q = leaf(rng, 3, 5)
         k = leaf(rng, 5, 5)
-        w = T.tensor(rng.standard_normal((3, 5)))
-        eye = T.tensor(np.eye(5))
+        w = constant(rng.standard_normal((3, 5)))
+        eye = constant(np.eye(5))
         check_gradients(lambda: T.sum_all(T.mul(T.attention(q, k, eye, 1), w)), [q, k])
 
 
@@ -195,22 +200,22 @@ def test_layer_norm_gradients():
         x = leaf(rng, 4, 6)
         gain = T.parameter(rng.uniform(0.5, 1.5, size=6))
         bias = T.parameter(rng.standard_normal(6) * 0.1)
-        w = T.tensor(rng.standard_normal((4, 6)))
+        w = constant(rng.standard_normal((4, 6)))
         check_gradients(lambda: T.sum_all(T.mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
 
 
 def test_layer_norm_output_statistics():
     rng = np.random.default_rng(23)
-    x = T.tensor(rng.standard_normal((8, 16)) * 5.0 + 3.0)
-    ones = T.tensor(np.ones(16))
-    zeros = T.tensor(np.zeros(16))
+    x = constant(rng.standard_normal((8, 16)) * 5.0 + 3.0)
+    ones = constant(np.ones(16))
+    zeros = constant(np.zeros(16))
     y = T.layer_norm(x, ones, zeros).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-3)
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab():
-    logits = T.tensor(np.zeros((5, 4)))
+    logits = constant(np.zeros((5, 4)))
     loss = T.cross_entropy(logits, [0, 1, 2, 3, 0], np.ones(5))
     np.testing.assert_allclose(loss.data, np.log(4.0), atol=1e-12)
 
@@ -226,7 +231,7 @@ def test_cross_entropy_gradients():
 
 
 def test_cross_entropy_rejects_bad_targets():
-    logits = T.tensor(np.zeros((3, 4)))
+    logits = constant(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         T.cross_entropy(logits, [0, 1, 4], np.ones(3))
     with pytest.raises(ValueError):
@@ -238,11 +243,11 @@ def test_masked_rows_cannot_move_the_loss_bits():
     logits = rng.standard_normal((6, 5))
     ids = rng.integers(0, 5, size=6)
     mask = np.array([1, 1, 0, 1, 0, 0], dtype=np.float64)
-    base = T.cross_entropy(T.tensor(logits.copy()), ids, mask).data.copy()
+    base = T.cross_entropy(constant(logits.copy()), ids, mask).data.copy()
     for _ in range(20):
         perturbed = logits.copy()
         perturbed[mask == 0] = rng.standard_normal((3, 5)) * 100.0
-        again = T.cross_entropy(T.tensor(perturbed), ids, mask).data
+        again = T.cross_entropy(constant(perturbed), ids, mask).data
         assert again == base  # bitwise: masked rows contribute exact zero
 
 
@@ -251,19 +256,19 @@ def test_masked_mse_masked_rows_bit_invariant():
     target = rng.standard_normal((5, 4))
     online = rng.standard_normal((5, 4))
     mask = np.array([1, 0, 1, 0, 1], dtype=np.float64)
-    base = T.masked_mse(T.tensor(target.copy()), T.tensor(online.copy()), mask).data.copy()
+    base = T.masked_mse(constant(target.copy()), constant(online.copy()), mask).data.copy()
     for _ in range(20):
         t2, o2 = target.copy(), online.copy()
         t2[mask == 0] = rng.standard_normal((2, 4)) * 50.0
         o2[mask == 0] = rng.standard_normal((2, 4)) * 50.0
-        again = T.masked_mse(T.tensor(t2), T.tensor(o2), mask).data
+        again = T.masked_mse(constant(t2), constant(o2), mask).data
         assert again == base
 
 
 def test_masked_mse_gradients_and_value():
     rng = np.random.default_rng(27)
     for _ in range(10):
-        target = T.tensor(rng.standard_normal((4, 3)))
+        target = constant(rng.standard_normal((4, 3)))
         online = leaf(rng, 4, 3)
         mask = np.array([1, 1, 0, 1], dtype=np.float64)
         loss = T.masked_mse(target, online, mask)
@@ -298,10 +303,10 @@ def test_sequence_log_prob_gradients_and_value():
 def test_dropout_eval_is_identity_and_train_grad_matches():
     rng = np.random.default_rng(30)
     x = T.parameter(rng.standard_normal((4, 5)))
-    assert T.dropout(x, 0.5, None, training=False) is x
+    assert T.dropout(x, 0.5, None) is x
     fixed = FixedRng(rng.random((4, 5)))
-    check_gradients(lambda: T.sum_all(T.dropout(x, 0.4, fixed, training=True)), [x])
-    kept = T.dropout(x, 0.4, fixed, training=True).data
+    check_gradients(lambda: T.sum_all(T.dropout(x, 0.4, fixed)), [x])
+    kept = T.dropout(x, 0.4, fixed).data
     mask = fixed.values >= 0.4
     np.testing.assert_allclose(kept[mask], x.data[mask] / 0.6, atol=1e-12)
     assert np.all(kept[~mask] == 0.0)
@@ -334,10 +339,10 @@ def _graph_with_saved_arrays(rng):
     """A loss over attention, layer norm, dropout and a shared node, plus
     weak references to every array those ops saved for backward."""
     x, w = leaf(rng, 2, 3, 8), leaf(rng, 8, 8)
-    h = T.layer_norm(T.linear(x, w, T.tensor(np.zeros(8))), T.tensor(np.ones(8)),
-                     T.tensor(np.zeros(8)))
+    h = T.layer_norm(T.linear(x, w, constant(np.zeros(8))), constant(np.ones(8)),
+                     constant(np.zeros(8)))
     att = T.attention(h, h, h, 2, _offset_causal_mask(3, 3))
-    out = T.dropout(T.relu(att), 0.3, FixedRng(rng.random((2, 3, 8))), training=True)
+    out = T.dropout(T.relu(att), 0.3, FixedRng(rng.random((2, 3, 8))))
     saved = [weakref.ref(c.cell_contents) for node in (h, att, out)
              for c in node._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
     saved += [weakref.ref(node.data) for node in (h, att)]
@@ -424,8 +429,8 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
     x = rng.standard_normal((3, 4, 8)).astype(dtype)
     u, g = rng.random((3, 4, 8)), rng.standard_normal((3, 4, 8)).astype(dtype)
     xp = T.parameter(x)
-    out = T.dropout(xp, 0.3, FixedRng(u), training=True)
-    T.backward(T.sum_all(T.mul(out, T.tensor(g, dtype))))
+    out = T.dropout(xp, 0.3, FixedRng(u))
+    T.backward(T.sum_all(T.mul(out, constant(g, dtype))))
     want_out, want_dx = _dropout_reference(x, u, 0.3, g)
     # a leaf's first gradient is copied as ``g + 0.0``, which turns -0.0 into +0.0
     assert _same_bits(out.data, want_out) and _same_bits(xp.grad, want_dx + 0.0)
@@ -440,7 +445,7 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
         qp, kp, vp = (T.parameter(a) for a in (q, k, v))
         out = T.attention(qp, kp, vp, 2, mask)
         g = rng.standard_normal(out.shape).astype(dtype)
-        T.backward(T.sum_all(T.mul(out, T.tensor(g, dtype))))
+        T.backward(T.sum_all(T.mul(out, constant(g, dtype))))
         want = _attention_reference(q, k, v, 2, mask, g)
         assert _same_bits(out.data, want[0])
         for got, w in zip((qp.grad, kp.grad, vp.grad), want[1:]):

@@ -17,11 +17,12 @@ from meancap.checkpoint import load_checkpoint
 from meancap.data import caption_corpus, generate_synthetic_dataset, split_dataset
 from meancap.decoding import Hypothesis, beam_search
 from meancap.fastdecode import FastDecoder
-from meancap.metrics import DocumentFrequency, reward
+from meancap.metrics import DocumentFrequency, reference_vectors, reward
 from meancap.model import ModelConfig, decode_logits, encode, init_params
 from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
 from meancap.tokenizer import (BOS_ID, EOS_ID, Vocabulary, build_vocab, detokenize_ids,
                                tokenize)
+from test_tensor import constant
 
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
@@ -240,8 +241,8 @@ def plain_xe_loop(samples, vocab, cfg, seed, steps, batch_size, warmup):
         for row, ids in enumerate(seqs):
             padded[row, :len(ids)] = ids
             mask[row, :len(ids) - 1] = 1.0
-        enc = encode(np.stack(grids), params, cfg, training=True, rng=rng)
-        logits = decode_logits(padded[:, :-1], enc, params, cfg, training=True, rng=rng)
+        enc = encode(np.stack(grids), params, cfg, rng=rng)
+        logits = decode_logits(padded[:, :-1], enc, params, cfg, rng=rng)
         loss = T.cross_entropy(logits, padded[:, 1:], mask)
         losses.append(float(loss.data))
         for p in params.values():
@@ -299,7 +300,7 @@ def test_equal_rewards_leave_online_bit_unchanged():
     state = tr.TrainState.create(cfg, seed=7)
     alien_refs = ["zzz qqq xxx", "qqq zzz"]
     df = DocumentFrequency([alien_refs])
-    emb = BagEmbedder(len(vocab.tokens))
+    emb = BagEmbedder(len(vocab.tokens), np.ones(len(vocab.tokens)))
     before = snapshot(state.online)
     scst = tr.ScstConfig(strategy="best", beam_size=3, learning_rate=1e-3, lambda_kd=0.0)
     report = tr.scst_step(state, [(samples[0].features.grid, alien_refs)],
@@ -362,7 +363,8 @@ def scst_loss_per_image(state, batch, scst, df, vocab, embedder):
     for grid, refs in batch:
         enc_o = encode(grid, state.online, cfg)
         online = beam_search(FastDecoder(state.online, cfg, enc_o).expand, k, cfg.max_length)
-        rewards = [reward(detokenize_ids(h.ids, vocab), refs, df) for h in online]
+        vectors = reference_vectors(refs, df)
+        rewards = [reward(detokenize_ids(h.ids, vocab), vectors, df) for h in online]
         logits = [decode_logits(h.ids[:-1], enc_o, state.online, cfg) for h in online]
         terms = [T.scale(T.sequence_log_prob(lg, h.ids[1:], np.ones(len(h.ids) - 1)), -a / k)
                  for lg, h, a in zip(logits, online, tr.advantage(rewards))]
@@ -427,7 +429,8 @@ def test_batched_scst_step_matches_loop_over_images(strategy):
         batch.append((s.features.grid, [detokenize_ids(beams[-1][0].ids, vocab)]))
     df = DocumentFrequency([refs for _, refs in batch])
     for beam, (_, refs) in zip(beams, batch):
-        rewards = [reward(detokenize_ids(h.ids, vocab), refs, df) for h in beam]
+        vectors = reference_vectors(refs, df)
+        rewards = [reward(detokenize_ids(h.ids, vocab), vectors, df) for h in beam]
         assert min(map(abs, tr.advantage(rewards))) > 0
     emb = BagEmbedder.from_corpus([tokenize(r, vocab).ids for _, refs in batch for r in refs],
                                   len(vocab.tokens))
@@ -441,7 +444,7 @@ def test_distill_pair_identical_hypotheses_is_zero():
     rng = np.random.default_rng(3)
     rows = [rng.normal(size=9) for _ in range(4)]
     h = Hypothesis(ids=[1, 5, 6, 7, 2], logprob=-1.0, logits=rows, finished=True)
-    loss = tr.distill_pair_logits([h], [h], T.tensor(np.stack(rows)[None]))
+    loss = tr.distill_pair_logits([h], [h], constant(np.stack(rows)[None]))
     assert float(loss.data) == 0.0
 
 
@@ -497,7 +500,7 @@ def test_scst_all_empty_hypotheses_abort():
     state.online["output.bias"].data[EOS_ID] = 60.0
     state.online["output.bias"].data[0] = 50.0
     df = DocumentFrequency([samples[0].references])
-    emb = BagEmbedder(len(vocab.tokens))
+    emb = BagEmbedder(len(vocab.tokens), np.ones(len(vocab.tokens)))
     scst = tr.ScstConfig(strategy="best", beam_size=2, lambda_kd=0.0)
     with pytest.raises(tr.TrainingDiverged, match="empty"):
         tr.scst_step(state, [(samples[0].features.grid, samples[0].references)],
@@ -666,6 +669,44 @@ def test_prepare_for_scst_resets_optimizer():
     assert not any(state.v[n].any() for n in state.v)
     assert state.lambda_kd == 0.25
     assert state.step == 2  # the global step keeps counting across stages
+
+
+def test_states_rebuilt_from_one_checkpoint_never_write_its_arrays():
+    """A state adopts its checkpoint's arrays, not copies, so no step may
+    write a parameter or a moment in place, nor touch the checkpoint's dicts:
+    the arrays are read-only here, and any such write raises."""
+    samples, vocab, cfg = tiny_setup(mesh_enabled=True, num_encoder_layers=2, dropout_rate=0.1)
+    state = tr.TrainState.create(cfg, seed=5, lambda_kd=0.1)
+    tr.train_xe(state, samples, [], vocab, tr.LoopConfig(steps=2, batch_size=3, warmup=10))
+    ckpt = tr.state_to_checkpoint(state, vocab, "scst")
+    groups = {g: dict(group) for g, group in ckpt.groups.items()}
+    for group in groups.values():
+        for a in group.values():
+            a.flags.writeable = False
+    before = {(g, n): a.tobytes() for g, group in groups.items() for n, a in group.items()}
+
+    state, _ = tr.state_from_checkpoint(ckpt)
+    assert all(state.online[n].data is a for n, a in ckpt.groups["online"].items())
+    picks = tr._select_batch(samples, 3, state.seed, state.step + 1)
+    batch = [(s.features.grid, tr.sequence_ids(ref, vocab, cfg.max_length)) for s, ref in picks]
+    rngs = KeyedRng(state.seed, ROLE_ONLINE), KeyedRng(state.seed, ROLE_TARGET)
+    for rng in rngs:
+        rng.begin_step(state.step + 1)
+    tr.xe_step(state, batch, 1e-3, *rngs)
+
+    state, _ = tr.state_from_checkpoint(ckpt)  # an SCST resume keeps the moments
+    scst = tr.ScstConfig(strategy="hungarian_all", beam_size=3, learning_rate=1e-4)
+    emb = BagEmbedder.from_corpus([tokenize(r, vocab).ids for s in samples for r in s.references],
+                                  len(vocab.tokens))
+    tr.scst_step(state, [(s.features.grid, s.references) for s in samples[:3]], scst,
+                 DocumentFrequency([s.references for s in samples]), vocab, emb)
+    assert state.online["output.bias"].data is not ckpt.groups["online"]["output.bias"]
+
+    for g, group in groups.items():  # the same arrays under the same names
+        assert list(ckpt.groups[g]) == list(group)
+        assert all(ckpt.groups[g][n] is a for n, a in group.items())
+    assert {(g, n): a.tobytes() for g, group in ckpt.groups.items()
+            for n, a in group.items()} == before
 
 
 def test_sequence_ids_truncates_with_eos():
