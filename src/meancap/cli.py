@@ -22,6 +22,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -158,13 +159,25 @@ def _load(path):
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
+@contextmanager
 def _open_out(path):
-    """Open an --out file, creating its directory, before the work that fills it."""
+    """Open a temporary file beside --out, creating its directory, before the work
+    that fills it; it replaces --out only if the work succeeds."""
+    tmp = f"{path}.tmp"
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+        fh = open(tmp, "w", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_dataset(data_dir):

@@ -157,10 +157,6 @@ def _feedforward(x, params, prefix):
     return _linear(T.relu(_linear(x, params, f"{prefix}.w1")), params, f"{prefix}.w2")
 
 
-def causal_mask(t: int, dtype=np.float64) -> np.ndarray:
-    return np.triu(np.full((t, t), NEG_INF, dtype=dtype), k=1)
-
-
 @functools.lru_cache(maxsize=128)
 def sinusoidal_encoding(length: int, d: int, dtype=np.float64) -> np.ndarray:
     """The (length, d) positional table, computed in float64 and cast to
@@ -227,30 +223,28 @@ def _cross_attend(x, memory, params, j, config):
     return T.scale(functools.reduce(T.add, gated), 1.0 / len(gated))
 
 
-def decode_layers(token_ids, positions, memory, params, config: ModelConfig, mask,
-                  past=None, rng=None):
+def decode_layers(token_ids, memory, params, config: ModelConfig, past=None, rng=None):
     """Run the decoder layers on new rows; returns (logits, per-layer rows).
 
-    Row i embeds ``token_ids[..., i]`` at position ``positions[i]``; leading
-    axes of ``token_ids`` index sequences, each with its own ``memory`` rows.
-    Decoder layer j's self-attention reads ``past[j]`` (rows from an earlier
-    call, or nothing when ``past`` is None) followed by the new rows, and
-    the additive ``mask`` array (new rows x all rows) says which of them each
-    new row may see.  The second result holds each layer's self-attention
-    rows, past followed by new: what a later call passes as ``past``.
+    ``token_ids`` (..., n) holds n new tokens per sequence, each sequence with
+    its own ``memory`` rows.  Layer j's self-attention reads ``past[j]``
+    (..., t, d), the rows an earlier call returned (t = 0 when ``past`` is
+    None), then the new rows.  Only this function places and masks rows: new
+    row i sits at position t + i and sees the past rows and new rows 0..i.
+    The second result, each layer's rows past then new, is a later ``past``.
     """
-    positions = np.asarray(positions)
-    last = int(positions.max())
-    if last >= config.max_length:
-        raise ValueError(f"position {last} must stay under max_length {config.max_length}")
+    t, n = (0 if past is None else past[0].shape[-2]), np.shape(token_ids)[-1]
+    if t + n > config.max_length:
+        raise ValueError(f"position {t + n - 1} must stay under max_length {config.max_length}")
     d = config.model_dim
     x = T.scale(T.embedding(params["embed.tokens"], token_ids), math.sqrt(d))
-    pe = sinusoidal_encoding(last + 1, d, x.dtype)[positions]
-    x = T.add(x, T.Tensor(pe))
+    x = T.add(x, T.Tensor(sinusoidal_encoding(t + n, d, x.dtype)[t:]))
     x = T.dropout(x, config.dropout_rate, rng)
+    # a lone new row sees every key: it needs no mask
+    mask = np.triu(np.full((n, t + n), NEG_INF, x.dtype), k=t + 1) if n > 1 else None
     rows = []
     for j in range(config.num_decoder_layers):
-        kv = x if past is None else T.concat([past[j], x], axis=0)
+        kv = x if past is None else T.concat([past[j], x], axis=-2)
         rows.append(kv)
         sa = f"dec{j}.self"
         attn = _attention(x, _linear(kv, params, f"{sa}.wk"), _linear(kv, params, f"{sa}.wv"),
@@ -273,9 +267,7 @@ def decode_logits(token_ids, encoder_layers, params, config: ModelConfig, rng=No
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.shape[-1:] == (0,) or np.any(token_ids[..., 0] != BOS_ID):
         raise ValueError("decoder prefix must begin with BOS")
-    t = token_ids.shape[-1]
-    mask = causal_mask(t, dtype=params["embed.tokens"].dtype)
-    logits, _ = decode_layers(token_ids, np.arange(t), cross_memory(encoder_layers, params, config),
-                              params, config, mask, rng=rng)
+    logits, _ = decode_layers(token_ids, cross_memory(encoder_layers, params, config), params,
+                              config, rng=rng)
     return logits
 

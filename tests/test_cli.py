@@ -253,11 +253,12 @@ def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, comm
 def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     out.write_text("earlier captions\n")
-    assert cli.main(["caption", str(overfit_run / "xe" / "last.ckpt"),
-                     str(overfit_run / "data" / "features.bin"),
-                     "--beam", "4000", "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
-    assert out.read_text() == "earlier captions\n"  # refused before --out is opened
+    for beam in ("4000", "0"):  # wider than the vocabulary, or empty
+        assert cli.main(["caption", str(overfit_run / "xe" / "last.ckpt"),
+                         str(overfit_run / "data" / "features.bin"),
+                         "--beam", beam, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert out.read_text() == "earlier captions\n"  # refused before --out is opened
 
 
 @pytest.mark.parametrize("keys", [{"best": {}}, {"best": {"cider_target": "0.9"}},
@@ -334,15 +335,23 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
     last_err = capsys.readouterr().err.strip().splitlines()[-1]
     assert json.loads(last_err)["error"] == "data"
 
-    def assert_data_error(argv):
+    def assert_data_error(argv, detail=""):
         assert cli.main(argv) == 3, argv
-        last_err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert json.loads(last_err)["error"] == "data"
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "data" and detail in err["detail"], err
 
-    for split in ([], {"train": 5, "val": [], "test": []},
-                  {"train": [[1]], "val": [], "test": []}, {"train": [1.0], "val": [], "test": []}):
+    captions = (no_train / "captions.jsonl").read_text().splitlines(keepends=True)
+    (no_train / "captions.jsonl").write_text("".join(captions[1:]))
+    uncaptioned, captioned = (json.loads(line)["id"] for line in captions[:2])
+    for split, detail in [([], ""), ({"train": 5, "val": [], "test": []}, ""),
+                          ({"train": [[1]], "val": [], "test": []}, ""),
+                          ({"train": [1.0], "val": [], "test": []}, ""),
+                          ({"train": [captioned], "test": []}, "lacks the 'val' split"),
+                          ({"train": [10 ** 6], "val": [], "test": []}, "missing from features.bin"),
+                          ({"train": [uncaptioned], "val": [], "test": []},
+                           "missing from captions.jsonl")]:
         (no_train / "split.json").write_text(json.dumps(split))
-        assert_data_error(["train-xe", xe_cfg])
+        assert_data_error(["train-xe", xe_cfg], detail)
 
     cands, refs = tmp_path / "cands.jsonl", tmp_path / "refs.jsonl"
     good_cand, good_ref = '{"id": 1, "caption": "a dog"}', '{"id": 1, "refs": ["a dog"]}'
@@ -434,6 +443,31 @@ def test_nan_checkpoint_exits_four(overfit_run, tmp_path, capsys):
                      str(overfit_run / "data" / "features.bin"),
                      "--out", str(tmp_path / "c.jsonl")]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+def test_a_command_that_fails_after_opening_out_leaves_the_earlier_file(overfit_run, tmp_path,
+                                                                        capsys, monkeypatch):
+    ckpt = load_checkpoint(overfit_run / "xe" / "last.ckpt")
+    ckpt.groups["target"]["output.bias"][:] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", ckpt)
+    caps, scores = tmp_path / "caps.jsonl", tmp_path / "scores.json"
+    caps.write_text('{"caption": "a red ball", "id": 0, "logprob": -1.0}\n')
+    scores.write_text("{}\n")
+    earlier = caps.read_bytes()
+    assert cli.main(["caption", str(tmp_path / "nan.ckpt"),
+                     str(overfit_run / "data" / "features.bin"), "--out", str(caps)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+    assert caps.read_bytes() == earlier
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside a metric")
+
+    monkeypatch.setattr(cli.metrics, "evaluate_all", broken)
+    with pytest.raises(ValueError, match="inside a metric"):
+        cli.main(["evaluate", str(caps), str(overfit_run / "data" / "captions.jsonl"),
+                  "--out", str(scores)])
+    assert scores.read_text() == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.jsonl", "nan.ckpt", "scores.json"]
 
 
 def test_train_xe_reproducible_and_resumable(tmp_path):

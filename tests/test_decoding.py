@@ -147,6 +147,18 @@ def tiny_config(**kw):
     return mdl.ModelConfig(**base)
 
 
+# expand calls in beam order: (BOS, 4) has two children, (BOS, 5) is
+# dropped, and a lone [BOS] starts over
+BEAM_ORDER_CALLS = [
+    [[BOS_ID]],
+    [[BOS_ID, 4], [BOS_ID, 5], [BOS_ID, 6]],
+    [[BOS_ID, 4, 7], [BOS_ID, 6, 2], [BOS_ID, 4, 3]],
+    [[BOS_ID, 4, 3, 8], [BOS_ID, 6, 2, 5]],
+    [[BOS_ID]],
+    [[BOS_ID, 8], [BOS_ID, 4]],
+]
+
+
 @pytest.mark.parametrize("mesh", [False, True])
 def test_fast_decoder_matches_slow_path(mesh):
     rng = np.random.default_rng(56)
@@ -155,9 +167,8 @@ def test_fast_decoder_matches_slow_path(mesh):
     enc = mdl.encode(rng.standard_normal((4, cfg.feature_dim)), params, cfg)
     slow = D.model_expander(params, cfg, enc)
     fast = FastDecoder(params, cfg, enc)
-    prefixes = [[BOS_ID], [BOS_ID, 4], [BOS_ID, 4, 7], [BOS_ID, 5, 3, 8, 6],
-                [BOS_ID, 4], [BOS_ID, 5], [BOS_ID, 4, 7], [BOS_ID, 5, 7]]
-    np.testing.assert_allclose(fast.expand(prefixes), slow(prefixes), atol=1e-9)
+    for prefixes in BEAM_ORDER_CALLS:
+        np.testing.assert_allclose(fast.expand(prefixes), slow(prefixes), atol=1e-9)
 
 
 @pytest.mark.parametrize("mesh", [False, True], ids=["plain", "mesh"])
@@ -180,10 +191,24 @@ def test_fast_decoder_validates_prefixes():
     params = mdl.init_params(cfg, seed=6, dtype=np.float64)
     enc = mdl.encode(np.zeros((4, cfg.feature_dim)), params, cfg)
     fast = FastDecoder(params, cfg, enc)
-    with pytest.raises(ValueError):
-        fast.expand([[4, 5]])  # no BOS
-    with pytest.raises(ValueError):
-        fast.expand([[BOS_ID] + [3] * cfg.max_length])
+    with pytest.raises(ValueError, match="BOS"):
+        fast.expand([[4, 5]])
+    with pytest.raises(ValueError, match="one length"):
+        fast.expand([[BOS_ID], [BOS_ID, 4]])
+    with pytest.raises(ValueError, match="previous call"):
+        fast.expand([[BOS_ID, 4]])  # nothing decoded yet
+    fast.expand([[BOS_ID]])
+    fast.expand([[BOS_ID, 4], [BOS_ID, 5]])
+    with pytest.raises(ValueError, match="previous call"):
+        fast.expand([[BOS_ID, 4, 2], [BOS_ID, 6, 2]])
+    with pytest.raises(ValueError, match="previous call"):
+        fast.expand([[BOS_ID, 4]])  # a sibling, not a child
+    prefix = [BOS_ID]
+    for _ in range(cfg.max_length):  # the last position is max_length - 1
+        fast.expand([prefix])
+        prefix = prefix + [3]
+    with pytest.raises(ValueError, match="max_length"):
+        fast.expand([prefix])
 
 
 def test_caption_image_end_to_end():
