@@ -1,10 +1,15 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 Small by design: it provides exactly the differentiable operations the
-captioning model and its losses need, nothing more.  A Tensor wraps an
-ndarray plus an optional gradient and a backward closure; operations build
-an acyclic graph and ``backward`` walks it once in reverse topological
-order.  Works in float64 (test and oracle builds) or float32 (training).
+captioning model and its losses need, nothing more.  Operations build an
+acyclic graph and ``backward`` walks it once in reverse topological order.
+Works in float64 (test and oracle builds) or float32 (training).
+
+A recorded op result has two parts: its value, the ``Tensor`` returned to
+the caller, and its vertex, which links to its inputs' vertices and holds
+the backward closure.  A closure keeps only the arrays its backward reads,
+so a value no backward reads is freed as soon as the caller drops it.
+Leaves (parameters and constants) are their own vertex and keep ``grad``.
 """
 
 import math
@@ -34,21 +39,22 @@ class no_grad:
 
 
 class Tensor:
-    """A value node in the autodiff graph.
+    """A value in the autodiff graph.
 
-    ``data`` is an ndarray, ``grad`` has the same shape and is allocated
-    lazily on first accumulation.  Node identity (``id(self)``) orders the
-    backward walk; two tensors never alias graph state.
+    ``data`` is an ndarray.  A recorded op result links into the graph
+    through its ``_vertex``; a leaf is its own vertex, with no parents and no
+    closure, and its ``grad`` (same shape as ``data``) is allocated lazily on
+    first accumulation.
     """
 
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "_backward_ran")
+    __slots__ = ("data", "grad", "requires_grad", "_vertex", "_backward_ran")
+    parents, _backward = (), None  # as a vertex, a leaf ends the walk
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, requires_grad=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self._backward = backward
         self.requires_grad = requires_grad
+        self._vertex = None
         self._backward_ran = False
 
     @property
@@ -68,8 +74,26 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+class _Vertex:
+    """A recorded op result's place in the graph: its parents' vertices, the
+    closure that passes its gradient on, that gradient, and the value's shape
+    and dtype, but not the value."""
+
+    __slots__ = ("grad", "parents", "_backward", "_backward_ran", "shape", "dtype")
+
+    def __init__(self, data, parents, backward):
+        self.grad = None
+        self.parents = parents
+        self._backward = backward
+        self._backward_ran = False
+        self.shape, self.dtype = data.shape, data.dtype
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:  # ``_copied``'s bits: every interior value is C-contiguous
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape, self.dtype))
+        else:
+            self.grad += g
 
 
 def parameter(data) -> Tensor:
@@ -83,15 +107,22 @@ def _copied(like: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.add(g, 0.0, out=np.empty_like(like))
 
 
-def _result(data, parents, backward):
-    """Wrap an op result, recording the graph only when it can matter."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, parents=parents, backward=backward, requires_grad=True)
-    return Tensor(data)
+def _result(data, inputs, backward):
+    """Wrap an op result, recording its vertex only when a gradient can flow.
+
+    The vertex's parents are the inputs' vertices, None for an input no
+    gradient flows to; backward calls ``backward(g, *parents)``.
+    """
+    if not (_grad_enabled and any(t.requires_grad for t in inputs)):
+        return Tensor(data)
+    out = Tensor(data, requires_grad=True)
+    out._vertex = _Vertex(data, tuple((t._vertex or t) if t.requires_grad else None
+                                      for t in inputs), backward)
+    return out
 
 
-def _topological(root: Tensor) -> list:
-    """Every gradient-relevant node under ``root``, each after its inputs.
+def _topological(root) -> list:
+    """Every vertex under the vertex ``root``, each after its inputs.
 
     An iterative post-order walk: recursion would overflow on long chains.
     """
@@ -100,7 +131,7 @@ def _topological(root: Tensor) -> list:
     while stack:
         node, it = stack[-1]
         for parent in it:
-            if id(parent) not in seen and parent.requires_grad:
+            if parent is not None and id(parent) not in seen:
                 if parent._backward_ran:
                     raise RuntimeError("backward already consumed part of this graph; "
                                        "rerun the forward pass first")
@@ -116,26 +147,28 @@ def _topological(root: Tensor) -> list:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every parameter the loss depends on.
 
-    Visits each graph node exactly once in reverse topological order and
-    consumes the graph as it goes: once a node has passed its gradient on,
-    its gradient, closure and parent links are dropped, so every array it
-    saved is freed before backward returns.  Leaves keep their ``grad``.
-    Running backward again over a consumed node is an error; rebuild the
-    graph (a fresh forward pass) instead.
+    Visits each vertex exactly once in reverse topological order and
+    consumes the graph as it goes: once a vertex has passed its gradient on,
+    its gradient, closure and parent links are dropped, so every array its
+    closure saved is freed before backward returns.  Values no closure saved
+    were freed already, when the forward pass dropped them.  Leaves keep
+    their ``grad``.  Running backward again over a consumed vertex is an
+    error; rebuild the graph (a fresh forward pass) instead.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_ran:
+    root = loss._vertex or loss
+    if root._backward_ran:
         raise RuntimeError("backward already ran on this graph root; rerun the forward pass first")
-    loss._backward_ran = True
+    root._backward_ran = True
     if not loss.requires_grad:
         return
-    loss.grad = np.ones_like(loss.data)
-    nodes = _topological(loss)
+    root.grad = np.ones_like(loss.data)
+    nodes = _topological(root)
     while nodes:
-        node = nodes.pop()  # the list must not keep a consumed node alive
+        node = nodes.pop()  # the list must not keep a consumed vertex alive
         if node._backward is not None:
-            node._backward(node.grad)
+            node._backward(node.grad, *node.parents)
             node.grad, node._backward, node.parents = None, None, ()
             node._backward_ran = True
 
@@ -158,23 +191,24 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+    def bw(g, va, vb):
+        if va is not None:
+            va.accumulate_grad(_unbroadcast(g, va.shape))
+        if vb is not None:
+            vb.accumulate_grad(_unbroadcast(g, vb.shape))
 
     return _result(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+    def bw(g, va, vb):
+        if va is not None:
+            va.accumulate_grad(_unbroadcast(g * bd, va.shape))
+        if vb is not None:
+            vb.accumulate_grad(_unbroadcast(g * ad, vb.shape))
 
     return _result(out, (a, b), bw)
 
@@ -183,9 +217,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = a.data * c
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
+    def bw(g, va):  # a recorded one-input op always has its input's vertex
+        va.accumulate_grad(g * c)
 
     return _result(out, (a,), bw)
 
@@ -202,13 +235,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"got {xd.shape} x {wd.shape} + {b.data.shape}")
     out = xd @ wd + b.data
 
-    def bw(g):
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            x.accumulate_grad(g @ wd.T)
-        if w.requires_grad:
-            w.accumulate_grad(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    def bw(g, vx, vw, vb):
+        if vb is not None:
+            vb.accumulate_grad(_unbroadcast(g, vb.shape))
+        if vx is not None:
+            vx.accumulate_grad(g @ wd.T)
+        if vw is not None:
+            vw.accumulate_grad(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(out, (x, w, b), bw)
 
@@ -218,13 +251,13 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def bw(g):
+    def bw(g, *vertices):
         offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
+        for v, size in zip(vertices, sizes):
+            if v is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(offset, offset + size)
-                t.accumulate_grad(g[tuple(idx)])
+                v.accumulate_grad(g[tuple(idx)])
             offset += size
 
     return _result(out, tuple(tensors), bw)
@@ -238,11 +271,10 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding id out of range [0, {n}): {ids}")
     out = table.data[ids]
 
-    def bw(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, ids, g)
-            table.accumulate_grad(acc)
+    def bw(g, vt):
+        acc = np.zeros(vt.shape, vt.dtype)
+        np.add.at(acc, ids, g)
+        vt.accumulate_grad(acc)
 
     return _result(out, (table,), bw)
 
@@ -253,11 +285,12 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """Backward keeps the output, which the next ``linear`` keeps anyway, not
+    the input: ``out > 0`` exactly where ``a > 0``."""
     out = np.maximum(a.data, 0.0)
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (a.data > 0))
+    def bw(g, va):
+        va.accumulate_grad(g * (out > 0))
 
     return _result(out, (a,), bw)
 
@@ -265,9 +298,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * out * (1.0 - out))
+    def bw(g, va):
+        va.accumulate_grad(g * out * (1.0 - out))
 
     return _result(out, (a,), bw)
 
@@ -278,24 +310,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     Means are sums divided by the width: the same bits as ndarray.mean,
     without its per-call Python overhead.
     """
-    d = x.data.shape[-1]
+    d, gd = x.data.shape[-1], gain.data
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out = xhat * gd + bias.data
 
-    def bw(g):
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
+    def bw(g, vx, vgain, vbias):
+        if vgain is not None:
+            vgain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+        if vbias is not None:
+            vbias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+        if vx is not None:
+            gx = g * gd
             term = (gx - np.add.reduce(gx, axis=-1, keepdims=True) / d
                     - xhat * np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
-            x.accumulate_grad(term * inv)
+            vx.accumulate_grad(term * inv)
 
     return _result(out, (x, gain, bias), bw)
 
@@ -313,9 +345,8 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
     keep = rng.uniform(x.data.shape) >= rate  # saved as booleans, a quarter of a float32 mask
     out = x.data * (keep.astype(x.data.dtype) / (1.0 - rate))
 
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (keep.astype(x.data.dtype) / (1.0 - rate)))
+    def bw(g, vx):
+        vx.accumulate_grad(g * (keep.astype(vx.dtype) / (1.0 - rate)))
 
     return _result(out, (x,), bw)
 
@@ -350,19 +381,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Ten
     att = p @ vh
     att_shape, att_dtype = att.shape, att.dtype  # backward keeps p, not scores or att
 
-    def bw(g):
+    def bw(g, vq, vk, vv):
         ga = np.add(split(g), 0.0, out=np.empty(att_shape, att_dtype))
-        if v.requires_grad:
-            v.accumulate_grad(join(_unbroadcast(p.swapaxes(-1, -2) @ ga, vh.shape)))
-        if not (q.requires_grad or k.requires_grad):
+        if vv is not None:
+            vv.accumulate_grad(join(_unbroadcast(p.swapaxes(-1, -2) @ ga, vh.shape)))
+        if vq is None and vk is None:
             return
         gp = _copied(p, _unbroadcast(ga @ vh.swapaxes(-1, -2), p.shape))
         gs = _copied(p, p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * c)
-        if k.requires_grad:
+        if vk is not None:
             gk = _unbroadcast(qh.swapaxes(-1, -2) @ gs, kt.shape)
-            k.accumulate_grad(join(gk.swapaxes(-1, -2)))
-        if q.requires_grad:
-            q.accumulate_grad(join(_unbroadcast(gs @ kt.swapaxes(-1, -2), qh.shape)))
+            vk.accumulate_grad(join(gk.swapaxes(-1, -2)))
+        if vq is not None:
+            vq.accumulate_grad(join(_unbroadcast(gs @ kt.swapaxes(-1, -2), qh.shape)))
 
     return _result(join(att), (q, k, v), bw)
 
@@ -375,9 +406,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Ten
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
 
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape).copy())
+    def bw(g, va):
+        va.accumulate_grad(np.broadcast_to(g, va.shape).copy())
 
     return _result(out, (a,), bw)
 
@@ -433,10 +463,9 @@ def cross_entropy(logits: Tensor, target_ids, mask) -> Tensor:
     valid = _valid_steps(m, "cross_entropy")
     out = np.asarray(((-picked * m).sum(axis=-1) / valid).mean())
 
-    def bw(g):
-        if logits.requires_grad:
-            weight = m / valid[..., None] / valid.size
-            logits.accumulate_grad(_softmax_minus_onehot(logp, ids) * weight[..., None] * g)
+    def bw(g, vl):
+        weight = m / valid[..., None] / valid.size
+        vl.accumulate_grad(_softmax_minus_onehot(logp, ids) * weight[..., None] * g)
 
     return _result(out, (logits,), bw)
 
@@ -447,9 +476,8 @@ def sequence_log_prob(logits: Tensor, target_ids, mask) -> Tensor:
     ids, m, logp, picked = _prepare_targets(logits, target_ids, mask)
     out = np.asarray((picked * m).sum())
 
-    def bw(g):
-        if logits.requires_grad:
-            logits.accumulate_grad(-_softmax_minus_onehot(logp, ids) * m[..., None] * g)
+    def bw(g, vl):
+        vl.accumulate_grad(-_softmax_minus_onehot(logp, ids) * m[..., None] * g)
 
     return _result(out, (logits,), bw)
 
@@ -469,9 +497,8 @@ def masked_mse(target: Tensor, online: Tensor, mask) -> Tensor:
     diff = (target.data - online.data) * m[..., None]
     out = np.asarray(((diff * diff).sum(axis=(-2, -1)) / count).mean())
 
-    def bw(g):
-        if online.requires_grad:
-            scale = (-2.0 / (count * count.size))[..., None, None]
-            online.accumulate_grad(scale * diff * g)
+    def bw(g, vo):
+        scale = (-2.0 / (count * count.size))[..., None, None]
+        vo.accumulate_grad(scale * diff * g)
 
     return _result(out, (online,), bw)

@@ -166,15 +166,17 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
     inputs, targets, mask = _teacher_forcing([ids for _, ids in batch])
     if state.lambda_kd > 0.0:
         with T.no_grad():
-            enc_t = encode(grids, state.target, cfg, rng=rng_target)
-            logits_t = decode_logits(inputs, enc_t, state.target, cfg, rng=rng_target)
-    enc_o = encode(grids, state.online, cfg, rng=rng_online)
-    logits_o = decode_logits(inputs, enc_o, state.online, cfg, rng=rng_online)
+            logits_t = decode_logits(inputs, encode(grids, state.target, cfg, rng=rng_target),
+                                     state.target, cfg, rng=rng_target)
+    logits_o = decode_logits(inputs, encode(grids, state.online, cfg, rng=rng_online),
+                             state.online, cfg, rng=rng_online)
     total = ce = T.cross_entropy(logits_o, targets, mask)
     kd = None
     if state.lambda_kd > 0.0:
         kd = T.masked_mse(logits_t, logits_o, mask)
         total = T.add(ce, T.scale(kd, state.lambda_kd))
+        del logits_t
+    del logits_o  # no backward reads the logits themselves
     _update(state, total, lr, {"xe_loss": float(total.data), "lr": lr})
     return {"xe_loss": float(ce.data), "kd_loss": None if kd is None else float(kd.data)}
 

@@ -1,6 +1,7 @@
 """Command suite: determinism, the overfit smoke loop, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -497,11 +498,26 @@ def test_train_xe_reproducible_and_resumable(tmp_path):
 
 
 def test_resume_refuses_wrong_stage_or_seed(overfit_run, tmp_path, capsys):
-    xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=8, data_dir=str(overfit_run / "data"),
-                       out_dir=str(tmp_path / "xe"), steps=401, **TINY_MODEL)
-    assert cli.main(["train-xe", xe_cfg,
-                     "--resume", str(overfit_run / "xe" / "last.ckpt")]) == 2
-    assert "seed" in json.loads(capsys.readouterr().err)["detail"]
+    last = overfit_run / "xe" / "last.ckpt"
+    scst = tmp_path / "scst.ckpt"
+    save_checkpoint(scst, dataclasses.replace(load_checkpoint(last), stage="scst"))
+
+    def resume(ckpt, seed):
+        cfg = write_cfg(tmp_path / "xe.cfg", seed=seed, data_dir=str(overfit_run / "data"),
+                        out_dir=str(tmp_path / "xe"), steps=401, **TINY_MODEL)
+        assert cli.main(["train-xe", cfg, "--resume", str(ckpt)]) == 2
+        return json.loads(capsys.readouterr().err)["detail"]
+
+    assert "seed" in resume(last, 8)
+    assert "stage 'scst'" in resume(scst, 7)
+
+
+def test_resume_refuses_other_model_keys(overfit_run, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "xe"), steps=401, **{**TINY_MODEL, "model_dim": 16})
+    assert cli.main(["train-xe", cfg, "--resume", str(overfit_run / "xe" / "last.ckpt")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "model_dim" in err["detail"]
 
 
 @pytest.mark.parametrize("key, value", [("momentum", 0.5), ("lambda_kd", 0.0)])

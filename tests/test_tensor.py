@@ -322,11 +322,17 @@ def test_sum_of_parameters_gives_unit_gradients():
 
 
 def test_backward_twice_raises():
-    a = T.parameter(np.ones(3))
-    loss = T.sum_all(a)
-    T.backward(loss)
-    with pytest.raises(RuntimeError):
+    for recorded in (True, False):
+        a = T.parameter(np.ones(3))
+        if recorded:
+            loss = T.sum_all(a)
+        else:
+            with T.no_grad():
+                loss = T.sum_all(a)  # a loss that needs no gradient: backward just returns
         T.backward(loss)
+        assert (a.grad is not None) == recorded
+        with pytest.raises(RuntimeError):
+            T.backward(loss)
 
 
 def test_backward_requires_scalar():
@@ -337,15 +343,16 @@ def test_backward_requires_scalar():
 
 def _graph_with_saved_arrays(rng):
     """A loss over attention, layer norm, dropout and a shared node, plus
-    weak references to every array those ops saved for backward."""
+    weak references to every array those ops' vertices saved for backward,
+    among them the shared node's value, which attention reads."""
     x, w = leaf(rng, 2, 3, 8), leaf(rng, 8, 8)
     h = T.layer_norm(T.linear(x, w, constant(np.zeros(8))), constant(np.ones(8)),
                      constant(np.zeros(8)))
     att = T.attention(h, h, h, 2, _offset_causal_mask(3, 3))
     out = T.dropout(T.relu(att), 0.3, FixedRng(rng.random((2, 3, 8))))
     saved = [weakref.ref(c.cell_contents) for node in (h, att, out)
-             for c in node._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-    saved += [weakref.ref(node.data) for node in (h, att)]
+             for c in node._vertex._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    saved.append(weakref.ref(h.data))
     return (x, w), h, T.sum_all(T.mul(out, out)), saved
 
 
@@ -365,11 +372,64 @@ def test_backward_frees_every_array_the_graph_saved_without_a_collection():
 def test_backward_drops_interior_gradients_and_keeps_leaf_gradients():
     leaves, h, loss, _ = _graph_with_saved_arrays(np.random.default_rng(41))
     T.backward(loss)
-    assert h.grad is None and h.parents == () and h._backward is None
+    for vertex in (h._vertex, loss._vertex):
+        assert vertex.grad is None and vertex.parents == () and vertex._backward is None
     assert h.data.shape == (2, 3, 8)  # values stay readable
-    assert loss.grad is None
+    assert h.grad is None and loss.grad is None
     for p in leaves:
         assert p.grad.shape == p.data.shape and np.any(p.grad != 0)
+
+
+def _chain_reference(x, w1, b1, u, rate, gain, bias, w2, b2):
+    """relu(layer_norm(x + dropout(x @ w1 + b1))) @ w2 + b2, summed, in plain
+    numpy, each interior first gradient copied as ``g + 0.0``: (loss,
+    dx, dw1, db1, dgain, dbias, dw2, db2)."""
+    d = x.shape[-1]
+    scale = (u >= rate).astype(x.dtype) / (1.0 - rate)
+    s = x + (x @ w1 + b1) * scale
+    xc = s - np.add.reduce(s, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + 1e-5)
+    xhat = xc * inv
+    r = np.maximum(xhat * gain + bias, 0.0)
+    y = r @ w2 + b2
+    gy = np.broadcast_to(np.ones_like(y.sum()), y.shape).copy() + 0.0
+    gr = gy @ w2.T + 0.0
+    gn = gr * (r > 0) + 0.0
+    gx = gn * gain
+    gs = (gx - np.add.reduce(gx, axis=-1, keepdims=True) / d
+          - xhat * np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d) * inv + 0.0
+    gh = (gs + 0.0) * scale + 0.0
+    return (y.sum(), gs + 0.0 + gh @ w1.T, x.reshape(-1, d).T @ gh.reshape(-1, d) + 0.0,
+            gh.sum(axis=0).sum(axis=0) + 0.0, (gn * xhat).reshape(-1, d).sum(axis=0) + 0.0,
+            gn.reshape(-1, d).sum(axis=0) + 0.0, r.reshape(-1, d).T @ gy.reshape(-1, 5) + 0.0,
+            gy.sum(axis=0).sum(axis=0) + 0.0)
+
+
+def test_values_no_backward_reads_die_with_their_handles():
+    rng = np.random.default_rng(43)
+    arrays = [rng.standard_normal(s).astype(np.float32)
+              for s in ((2, 3, 8), (8, 8), (8,), (8,), (8,), (8, 5), (5,))]
+    arrays[3] += 1.0  # gain
+    u = rng.random((2, 3, 8))
+    x, w1, b1, gain, bias, w2, b2 = (T.parameter(a) for a in arrays)
+    gc.disable()  # reference counting alone must free them
+    try:
+        h = T.linear(x, w1, b1)
+        dropped = T.dropout(h, 0.3, FixedRng(u))
+        residual = T.add(x, dropped)
+        normed = T.layer_norm(residual, gain, bias)
+        y = T.linear(T.relu(normed), w2, b2)
+        loss = T.sum_all(y)
+        unread = [weakref.ref(t.data) for t in (h, dropped, residual, normed, y)]
+        del h, dropped, residual, normed, y
+        assert [ref() is None for ref in unread] == [True] * len(unread)
+        T.backward(loss)
+    finally:
+        gc.enable()
+    want = _chain_reference(*arrays[:3], u, 0.3, *arrays[3:])
+    assert _same_bits(loss.data, want[0])
+    for p, w in zip((x, w1, b1, gain, bias, w2, b2), want[1:]):
+        assert _same_bits(p.grad, w)
 
 
 def test_second_backward_through_a_consumed_shared_node_raises():
@@ -435,21 +495,26 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
     # a leaf's first gradient is copied as ``g + 0.0``, which turns -0.0 into +0.0
     assert _same_bits(out.data, want_out) and _same_bits(xp.grad, want_dx + 0.0)
 
-    for q_shape, kv_shape, mask in [
-        ((2, 5, 8), (2, 5, 8), _offset_causal_mask(5, 5).astype(dtype)),  # self-attention
-        ((2, 3, 8), (2, 6, 8), _offset_causal_mask(3, 6).astype(dtype)),  # cached rows
-        ((2, 5, 8), (9, 8), None),  # one memory for every row
-        ((5, 8), (2, 9, 8), np.zeros((2, 1, 1, 9), dtype)),  # broadcast padding mask
+    for q_shape, kv_shape, mask, only_v in [
+        ((2, 5, 8), (2, 5, 8), _offset_causal_mask(5, 5).astype(dtype), False),  # self-attention
+        ((2, 3, 8), (2, 6, 8), _offset_causal_mask(3, 6).astype(dtype), False),  # cached rows
+        ((2, 5, 8), (9, 8), None, False),  # one memory for every row
+        ((5, 8), (2, 9, 8), np.zeros((2, 1, 1, 9), dtype), False),  # broadcast padding mask
+        ((2, 5, 8), (2, 5, 8), _offset_causal_mask(5, 5).astype(dtype), True),  # only v learns
     ]:
         q, k, v = (rng.standard_normal(s).astype(dtype) for s in (q_shape, kv_shape, kv_shape))
-        qp, kp, vp = (T.parameter(a) for a in (q, k, v))
+        qp, kp = (constant(a, dtype) if only_v else T.parameter(a) for a in (q, k))
+        vp = T.parameter(v)
         out = T.attention(qp, kp, vp, 2, mask)
         g = rng.standard_normal(out.shape).astype(dtype)
         T.backward(T.sum_all(T.mul(out, constant(g, dtype))))
         want = _attention_reference(q, k, v, 2, mask, g)
         assert _same_bits(out.data, want[0])
-        for got, w in zip((qp.grad, kp.grad, vp.grad), want[1:]):
-            assert _same_bits(got, w + 0.0)
+        assert _same_bits(vp.grad, want[3] + 0.0)
+        if only_v:
+            assert qp.grad is None and kp.grad is None
+        else:
+            assert _same_bits(qp.grad, want[1] + 0.0) and _same_bits(kp.grad, want[2] + 0.0)
 
 
 def test_no_grad_suppresses_graph():
@@ -457,7 +522,7 @@ def test_no_grad_suppresses_graph():
     with T.no_grad():
         out = T.sum_all(T.mul(a, a))
     assert not out.requires_grad
-    assert out.parents == ()
+    assert out._vertex is None
     assert T.mul(a, a).requires_grad  # recording resumes on exit
 
 

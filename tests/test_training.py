@@ -167,9 +167,11 @@ def test_xe_loss_never_reaches_target():
 
 
 def test_a_desk_xe_step_holds_only_what_a_later_step_reads():
-    # backward frees the graph as it goes and the target pass runs before the
-    # online graph exists; a step that kept every interior gradient, closure
-    # and parent link until it returned peaked at about 20 MB here
+    # backward frees the graph as it goes, no vertex keeps a value its
+    # backward does not read, and the target pass runs before the online
+    # graph exists; a step that kept every interior gradient, closure and
+    # parent link until it returned peaked at about 20 MB here, and one
+    # whose vertices kept every value at about 8 MB
     samples = generate_synthetic_dataset(seed=1, num_images=16)
     vocab = build_vocab(caption_corpus(), 200)
     cfg = ModelConfig(vocab_size=len(vocab.tokens))
@@ -185,7 +187,7 @@ def test_a_desk_xe_step_holds_only_what_a_later_step_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6  # about 8 MB
+    assert peak < 12e6  # about 5 MB
 
 
 def test_scst_loss_never_reaches_target():
@@ -491,6 +493,21 @@ def test_xe_divergence_raises():
     rt.begin_step(1)
     with pytest.raises(tr.TrainingDiverged):
         tr.xe_step(state, [(samples[0].features.grid, ids)], 1e-3, ro, rt)
+
+
+def test_scst_non_finite_reward_raises_with_the_rewards(monkeypatch):
+    samples, vocab, cfg = tiny_setup()
+    state = tr.TrainState.create(cfg, seed=5)
+    df = DocumentFrequency([samples[0].references])
+    emb = BagEmbedder(len(vocab.tokens), np.ones(len(vocab.tokens)))
+    monkeypatch.setattr(tr.metrics, "reward", lambda *args: math.nan)
+    scst = tr.ScstConfig(strategy="best", beam_size=2, lambda_kd=0.0)
+    with pytest.raises(tr.TrainingDiverged) as exc:
+        tr.scst_step(state, [(samples[0].features.grid, samples[0].references)],
+                     scst, df, vocab, emb)
+    assert exc.value.step == 1
+    assert len(exc.value.detail["rewards"]) == 2
+    assert all(math.isnan(r) for r in exc.value.detail["rewards"])
 
 
 def test_scst_all_empty_hypotheses_abort():
