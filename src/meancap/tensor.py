@@ -226,8 +226,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis; leading axes ride along.
 
-    A batch of rows times one (d, n) weight runs as a single 2D product, and
-    so does its weight gradient.
+    numpy runs ``x @ w`` and the input gradient as stacked products, one 2D
+    product per leading index; only the weight gradient folds the leading
+    axes into a single 2D product.
     """
     xd, wd = x.data, w.data
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
@@ -412,23 +413,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def _prepare_targets(logits: Tensor, target_ids, mask):
-    """Validate (..., T) targets and mask against (..., T, N) logits; also
-    return each row's log-softmax and the entries picked by the targets."""
-    ids = np.asarray(target_ids, dtype=np.int64)
-    rows, n = logits.data.shape[:-1], logits.data.shape[-1]
-    if ids.shape != rows:
-        raise ValueError(f"target shape {ids.shape} does not match logits rows {rows}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"target id out of range [0, {n}): max was {ids.max()}")
-    m = np.asarray(mask, dtype=logits.data.dtype)
-    if m.shape != rows:
-        raise ValueError(f"mask shape {m.shape} does not match logits rows {rows}")
-    logp = _row_log_softmax(logits.data)
-    picked = np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
-    return ids, m, logp, picked
-
-
 def _row_log_softmax(data: np.ndarray):
     """Log-softmax over the last axis of a plain array, no graph; beam
     search scores its expansions with it too."""
@@ -438,46 +422,31 @@ def _row_log_softmax(data: np.ndarray):
     return shifted - lse
 
 
-def _softmax_minus_onehot(logp: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """d(-log softmax[target]) / d logits, row by row."""
-    p = np.exp(logp)
-    flat = p.reshape(-1, p.shape[-1])
-    flat[np.arange(flat.shape[0]), ids.ravel()] -= 1.0
-    return p
-
-
-def _valid_steps(m: np.ndarray, op: str) -> np.ndarray:
-    valid = m.sum(axis=-1)
-    if np.any(valid == 0):
-        raise ValueError(f"{op} needs at least one valid timestep in every sequence")
-    return valid
-
-
-def cross_entropy(logits: Tensor, target_ids, mask) -> Tensor:
-    """Mean of -log softmax(logits)[target] over each sequence's valid
-    timesteps, then over sequences; logits (..., T, N), targets and mask
-    (..., T).  Rows with mask 0 contribute exactly nothing, to the value and
-    to every gradient: their per-row terms are multiplied by 0.0 before any sum.
+def sequence_log_prob(logits: Tensor, target_ids, weights) -> Tensor:
+    """Sum over all rows of weight times log softmax(logits)[target]; logits
+    (..., T, N), targets and weights (..., T).  Both training losses are
+    this sum under their own weights (``training.xe_step`` and
+    ``training.scst_step``).  A row of weight 0 contributes exactly nothing,
+    to the value and to every gradient: its terms are multiplied by 0.0
+    before any sum.
     """
-    ids, m, logp, picked = _prepare_targets(logits, target_ids, mask)
-    valid = _valid_steps(m, "cross_entropy")
-    out = np.asarray(((-picked * m).sum(axis=-1) / valid).mean())
+    ids = np.asarray(target_ids, dtype=np.int64)
+    rows, n = logits.data.shape[:-1], logits.data.shape[-1]
+    if ids.shape != rows:
+        raise ValueError(f"target shape {ids.shape} does not match logits rows {rows}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"target id out of range [0, {n}): max was {ids.max()}")
+    w = np.asarray(weights, dtype=logits.data.dtype)
+    if w.shape != rows:
+        raise ValueError(f"weights shape {w.shape} does not match logits rows {rows}")
+    logp = _row_log_softmax(logits.data)
+    out = np.asarray((np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0] * w).sum())
 
     def bw(g, vl):
-        weight = m / valid[..., None] / valid.size
-        vl.accumulate_grad(_softmax_minus_onehot(logp, ids) * weight[..., None] * g)
-
-    return _result(out, (logits,), bw)
-
-
-def sequence_log_prob(logits: Tensor, target_ids, mask) -> Tensor:
-    """Sum over all rows of mask weight times log softmax(logits)[target];
-    logits (..., T, N), targets and weights (..., T)."""
-    ids, m, logp, picked = _prepare_targets(logits, target_ids, mask)
-    out = np.asarray((picked * m).sum())
-
-    def bw(g, vl):
-        vl.accumulate_grad(-_softmax_minus_onehot(logp, ids) * m[..., None] * g)
+        p = np.exp(logp)  # softmax minus one-hot: d(-log softmax[target]) / d logits
+        flat = p.reshape(-1, n)
+        flat[np.arange(flat.shape[0]), ids.ravel()] -= 1.0
+        vl.accumulate_grad(-p * w[..., None] * g)
 
     return _result(out, (logits,), bw)
 
@@ -493,7 +462,10 @@ def masked_mse(target: Tensor, online: Tensor, mask) -> Tensor:
     m = np.asarray(mask, dtype=online.data.dtype)
     if m.shape != online.data.shape[:-1]:
         raise ValueError(f"mask shape {m.shape} does not match rows {online.data.shape[:-1]}")
-    count = _valid_steps(m, "masked_mse") * online.data.shape[-1]
+    valid = m.sum(axis=-1)
+    if np.any(valid == 0):
+        raise ValueError("masked_mse needs at least one valid timestep in every sequence")
+    count = valid * online.data.shape[-1]
     diff = (target.data - online.data) * m[..., None]
     out = np.asarray(((diff * diff).sum(axis=(-2, -1)) / count).mean())
 

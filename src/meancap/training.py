@@ -150,6 +150,16 @@ def _teacher_forcing(sequences):
 # ---------------------------------------------------------------------------
 
 
+def _xe_weights(mask: np.ndarray, dtype) -> np.ndarray:
+    """``sequence_log_prob`` weights of the XE loss for a (B, T) step mask:
+    the batch mean of each reference's mean negative log-likelihood."""
+    m = mask.astype(dtype)
+    valid = m.sum(axis=-1)
+    if np.any(valid == 0):
+        raise ValueError("XE needs at least one target step in every sequence")
+    return -(m / valid[:, None] / len(m))
+
+
 def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
             rng_target: KeyedRng) -> dict:
     """One optimizer step of cross-entropy plus logit distillation.
@@ -170,7 +180,7 @@ def xe_step(state: TrainState, batch, lr: float, rng_online: KeyedRng,
                                      state.target, cfg, rng=rng_target)
     logits_o = decode_logits(inputs, encode(grids, state.online, cfg, rng=rng_online),
                              state.online, cfg, rng=rng_online)
-    total = ce = T.cross_entropy(logits_o, targets, mask)
+    total = ce = T.sequence_log_prob(logits_o, targets, _xe_weights(mask, logits_o.dtype))
     kd = None
     if state.lambda_kd > 0.0:
         kd = T.masked_mse(logits_t, logits_o, mask)

@@ -140,13 +140,6 @@ def _targets(rng, t, n):
     return ids, mask
 
 
-def _case_cross_entropy(rng):
-    t, n = int(rng.integers(2, 6)), int(rng.integers(3, 8))
-    logits = leaf(rng, t, n)
-    ids, mask = _targets(rng, t, n)
-    return lambda: T.cross_entropy(logits, ids, mask), [logits]
-
-
 def _case_sequence_log_prob(rng):
     t, n = int(rng.integers(2, 6)), int(rng.integers(3, 8))
     logits = leaf(rng, t, n)
@@ -168,8 +161,7 @@ _GRAD_CASES = [
     ("attention", _case_attention),
     ("embedding", _case_embedding), ("relu", _case_relu),
     ("sigmoid", _case_sigmoid), ("layer_norm", _case_layer_norm), ("dropout", _case_dropout),
-    ("sum_all", _case_sum_all), ("cross_entropy", _case_cross_entropy),
-    ("sequence_log_prob", _case_sequence_log_prob),
+    ("sum_all", _case_sum_all), ("sequence_log_prob", _case_sequence_log_prob),
     ("masked_mse", _case_masked_mse),
 ]
 

@@ -7,7 +7,8 @@ The listing has the form ``demos/cli_walkthrough.sh`` prints: one
 configs left out.  Its header records the numpy and BLAS builds it was made
 with, since float results may differ between builds.  A change that moves
 any bit of training or decoding fails here; when the move is intended,
-rewrite the listing and name the artifacts that changed:
+rewrite the listing and name the artifacts that changed, which the rewrite
+prints as a diff against the committed listing:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -78,7 +79,10 @@ def test_pipeline_artifacts_match_the_golden_listing(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
-        listing = run_pipeline(Path(d))
+        listing = builds() + run_pipeline(Path(d))
+    recorded = GOLDEN.read_text() if GOLDEN.exists() else ""
+    diff = list(difflib.unified_diff(recorded.splitlines(keepends=True),
+                                     listing.splitlines(keepends=True), "recorded", "this run", n=0))
+    sys.stdout.writelines(diff or [f"{GOLDEN.name} unchanged\n"])
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(builds() + listing)
-    sys.stdout.write(builds() + listing)
+    GOLDEN.write_text(listing)

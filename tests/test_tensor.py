@@ -10,6 +10,7 @@ import pytest
 
 from meancap import tensor as T
 from meancap.model import NEG_INF
+from meancap.training import _xe_weights
 from gradcheck import check_gradients
 
 
@@ -214,40 +215,89 @@ def test_layer_norm_output_statistics():
     np.testing.assert_allclose(y.std(axis=-1), 1.0, atol=1e-3)
 
 
+def cross_entropy_oracle(logits, target_ids, mask):
+    """The retired ``cross_entropy`` op: the mean of -log softmax(logits)[target]
+    over each (B, T) sequence's masked steps, then over sequences.  XE now
+    sums ``sequence_log_prob`` under ``training._xe_weights``, which must
+    give this op's gradient bit for bit."""
+    ids = np.asarray(target_ids, dtype=np.int64)
+    m = np.asarray(mask, dtype=logits.dtype)
+    valid = m.sum(axis=-1)
+    logp = T._row_log_softmax(logits.data)
+    picked = np.take_along_axis(logp, ids[..., None], axis=-1)[..., 0]
+    out = np.asarray(((-picked * m).sum(axis=-1) / valid).mean())
+
+    def bw(g, vl):
+        p = np.exp(logp)
+        flat = p.reshape(-1, p.shape[-1])
+        flat[np.arange(flat.shape[0]), ids.ravel()] -= 1.0
+        vl.accumulate_grad(p * (m / valid[..., None] / valid.size)[..., None] * g)
+
+    return T._result(out, (logits,), bw)
+
+
+def xe_loss(logits, target_ids, mask):
+    return T.sequence_log_prob(logits, target_ids, _xe_weights(np.asarray(mask), logits.dtype))
+
+
 def test_cross_entropy_uniform_logits_is_log_vocab():
-    logits = constant(np.zeros((5, 4)))
-    loss = T.cross_entropy(logits, [0, 1, 2, 3, 0], np.ones(5))
+    logits = constant(np.zeros((2, 5, 4)))
+    loss = xe_loss(logits, [[0, 1, 2, 3, 0], [3, 2, 1, 0, 0]], [[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]])
     np.testing.assert_allclose(loss.data, np.log(4.0), atol=1e-12)
 
 
 def test_cross_entropy_gradients():
     rng = np.random.default_rng(24)
     for _ in range(10):
-        logits = leaf(rng, 6, 5)
-        ids = rng.integers(0, 5, size=6)
-        mask = (rng.random(6) < 0.7).astype(np.float64)
-        mask[0] = 1.0
-        check_gradients(lambda: T.cross_entropy(logits, ids, mask), [logits])
+        logits = leaf(rng, 2, 6, 5)
+        ids = rng.integers(0, 5, size=(2, 6))
+        mask = (rng.random((2, 6)) < 0.7).astype(np.float64)
+        mask[:, 0] = 1.0
+        check_gradients(lambda: xe_loss(logits, ids, mask), [logits])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_xe_weights_give_the_retired_cross_entropy_gradient_bit_for_bit(dtype):
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        b, t, n = (int(x) for x in rng.integers(1, 9, size=3))
+        data = (rng.standard_normal((b, t, n)) * 4.0).astype(dtype)
+        ids = rng.integers(0, n, size=(b, t))
+        mask = (rng.random((b, t)) < 0.6).astype(np.float64)
+        mask[np.arange(b), rng.integers(0, t, size=b)] = 1.0
+        grads, values = [], []
+        for loss_fn in (xe_loss, cross_entropy_oracle):
+            logits = T.parameter(data.copy())
+            loss = loss_fn(logits, ids, mask)
+            T.backward(loss)
+            grads.append(logits.grad)
+            values.append(float(loss.data))
+        assert grads[0].dtype == dtype and grads[0].tobytes() == grads[1].tobytes()
+        np.testing.assert_allclose(values[0], values[1], rtol=1e-6, atol=0.0)
 
 
 def test_cross_entropy_rejects_bad_targets():
     logits = constant(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        T.cross_entropy(logits, [0, 1, 4], np.ones(3))
-    with pytest.raises(ValueError):
-        T.cross_entropy(logits, [0, 1, 2], np.zeros(3))
+    with pytest.raises(ValueError, match="out of range"):
+        T.sequence_log_prob(logits, [0, 1, 4], np.ones(3))
+    with pytest.raises(ValueError, match="target shape"):
+        T.sequence_log_prob(logits, [0, 1], np.ones(3))
+    with pytest.raises(ValueError, match="weights shape"):
+        T.sequence_log_prob(logits, [0, 1, 2], np.ones(2))
+    with pytest.raises(ValueError, match="at least one target step"):
+        _xe_weights(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), np.float64)
 
 
 def test_masked_rows_cannot_move_the_loss_bits():
     rng = np.random.default_rng(25)
-    logits = rng.standard_normal((6, 5))
-    ids = rng.integers(0, 5, size=6)
-    mask = np.array([1, 1, 0, 1, 0, 0], dtype=np.float64)
-    base = T.cross_entropy(constant(logits.copy()), ids, mask).data.copy()
+    logits = rng.standard_normal((1, 6, 5))
+    ids = rng.integers(0, 5, size=(1, 6))
+    mask = np.array([[1, 1, 0, 1, 0, 0]], dtype=np.float64)
+    base = xe_loss(constant(logits.copy()), ids, mask).data.copy()
     for _ in range(20):
         perturbed = logits.copy()
         perturbed[mask == 0] = rng.standard_normal((3, 5)) * 100.0
-        again = T.cross_entropy(constant(perturbed), ids, mask).data
+        again = xe_loss(constant(perturbed), ids, mask).data
         assert again == base  # bitwise: masked rows contribute exact zero
 
 

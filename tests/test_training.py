@@ -22,7 +22,7 @@ from meancap.model import ModelConfig, decode_logits, encode, init_params
 from meancap.rng import KeyedRng, ROLE_BATCH, ROLE_ONLINE, ROLE_TARGET, generator
 from meancap.tokenizer import (BOS_ID, EOS_ID, Vocabulary, build_vocab, detokenize_ids,
                                tokenize)
-from test_tensor import constant
+from test_tensor import constant, cross_entropy_oracle
 
 
 def tiny_setup(seed=3, num_images=10, model_dim=16, **cfg_over):
@@ -245,7 +245,7 @@ def plain_xe_loop(samples, vocab, cfg, seed, steps, batch_size, warmup):
             mask[row, :len(ids) - 1] = 1.0
         enc = encode(np.stack(grids), params, cfg, rng=rng)
         logits = decode_logits(padded[:, :-1], enc, params, cfg, rng=rng)
-        loss = T.cross_entropy(logits, padded[:, 1:], mask)
+        loss = cross_entropy_oracle(logits, padded[:, 1:], mask)
         losses.append(float(loss.data))
         for p in params.values():
             p.zero_grad()
@@ -353,7 +353,8 @@ def xe_loss_per_sample(state, batch):
         with T.no_grad():
             target = decode_logits(ids[:-1], encode(grid, state.target, cfg), state.target, cfg)
         kd = T.masked_mse(target, logits, valid)
-        losses.append(T.add(T.cross_entropy(logits, ids[1:], valid), T.scale(kd, state.lambda_kd)))
+        losses.append(T.add(cross_entropy_oracle(logits, ids[1:], valid),
+                            T.scale(kd, state.lambda_kd)))
     return T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
 
 
@@ -493,6 +494,20 @@ def test_xe_divergence_raises():
     rt.begin_step(1)
     with pytest.raises(tr.TrainingDiverged):
         tr.xe_step(state, [(samples[0].features.grid, ids)], 1e-3, ro, rt)
+
+
+def test_xe_step_refuses_a_reference_with_no_target_step():
+    samples, vocab, cfg = tiny_setup()
+    state = tr.TrainState.create(cfg, seed=5)
+    before = snapshot(state.online)
+    ids = tr.sequence_ids(samples[0].references[0], vocab, cfg.max_length)
+    batch = [(samples[0].features.grid, ids), (samples[1].features.grid, [BOS_ID])]
+    ro, rt = KeyedRng(5, ROLE_ONLINE), KeyedRng(5, 3)
+    ro.begin_step(1)
+    rt.begin_step(1)
+    with pytest.raises(ValueError, match="at least one target step"):
+        tr.xe_step(state, batch, 1e-3, ro, rt)
+    assert state.step == 0 and snapshot(state.online) == before
 
 
 def test_scst_non_finite_reward_raises_with_the_rewards(monkeypatch):
@@ -654,6 +669,24 @@ def test_resume_from_an_older_checkpoint_logs_each_step_once(tmp_path):
         fh.write('{"step": 5, "lr"')
     resume(b / "last.ckpt", b, 4)
     assert _read_log(b / "log.jsonl") == straight
+
+
+def test_validation_scores_each_model_under_its_own_name(tmp_path):
+    samples, vocab, cfg = tiny_setup(num_images=8)
+    train, val = samples[:6], samples[6:]
+    log = tmp_path / "log.jsonl"
+    # on this seed and schedule online scores 1.24, target 0
+    state = tr.TrainState.create(cfg, seed=5, momentum=0.5)
+    loop = tr.LoopConfig(steps=30, batch_size=3, warmup=10, val_every=30, val_beam=2,
+                         log_path=str(log))
+    best = tr.train_xe(state, train, val, vocab, loop)["best"]
+    df = DocumentFrequency([s.references for s in val])
+    online, target = (tr.validate_cider(params, cfg, val, vocab, 2, df)
+                      for params in (state.online, state.target))
+    assert online != target  # a swap of the two models must show
+    [record] = [r for r in map(json.loads, log.read_text().splitlines()) if "event" in r]
+    assert (record["val_cider_online"], record["val_cider_target"]) == (online, target)
+    assert (best["cider_online"], best["cider_target"]) == (online, target)
 
 
 def test_both_stages_log_the_same_record_keys(tmp_path):
