@@ -27,7 +27,6 @@ num_images = 60
 refs_per_image = 4
 train_fraction = 0.8
 val_fraction = 0.2
-test_fraction = 0.0
 EOF
 $RUN gen-data "$WORK/data.cfg"
 echo "gen-data: $(ls "$WORK/data")"

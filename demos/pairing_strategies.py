@@ -31,7 +31,7 @@ SCST_STEPS = 25
 BATCH = 4
 
 samples = generate_synthetic_dataset(seed=11, num_images=40, refs_per_image=4, max_objects=3)
-train, val, _ = split_dataset(samples, seed=11, val_fraction=0.2, test_fraction=0.0)
+train, val, _ = split_dataset(samples, seed=11, val_fraction=0.2)
 vocab = build_vocab(caption_corpus(), 150)
 config = mdl.ModelConfig(vocab_size=len(vocab.tokens), model_dim=32,
                          feedforward_dim=64, num_heads=2,

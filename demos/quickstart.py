@@ -22,7 +22,7 @@ from meancap.tokenizer import build_vocab, detokenize_ids
 # --- a desk-sized dataset --------------------------------------------------
 
 samples = generate_synthetic_dataset(seed=4, num_images=60, refs_per_image=4)
-train, val, _ = split_dataset(samples, seed=4, val_fraction=0.2, test_fraction=0.0)
+train, val, _ = split_dataset(samples, seed=4, val_fraction=0.2)
 print(f"dataset: {len(train)} training images, {len(val)} validation images")
 print(f"  a reference caption: {train[0].references[0]!r}")
 

@@ -13,7 +13,9 @@ copy of the payload.  A load checks the CRC in chunks of at most 1 MiB
 before it reads any header byte, then reads each blob into its own new
 array: it holds the parameters it returns plus one chunk.  Feature files
 (``data``) stream through the same ``write_array``, ``check_crc`` and
-``read_array``.
+``read_array``.  Every file a command writes goes through ``atomic_write``:
+written beside its target, flushed to disk and renamed over it, so a crash
+leaves the previous file or the new one whole.  Text files are UTF-8.
 """
 
 import json
@@ -21,6 +23,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +56,24 @@ def json_is(value, kind: type) -> bool:
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open ``<path>.tmp`` for writing, UTF-8 in text mode, and yield it.  When
+    the block succeeds the file is flushed to disk and renamed over ``path``;
+    on any failure it is removed, leaving whatever ``path`` held before."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_array(fh, arr: np.ndarray, crc: int) -> int:
@@ -98,24 +119,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {f.name: getattr(ckpt, f.name) for f in fields(Checkpoint)}
     header.update(version=CHECKPOINT_VERSION, groups=listing)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    # write beside the target, then rename over it: a failed save leaves
-    # the previous checkpoint whole
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head)))
-            fh.write(head)
-            crc = zlib.crc32(head)
-            for arr in arrays:
-                crc = write_array(fh, arr, crc)
-            fh.write(_CRC.pack(crc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(head)))
+        fh.write(head)
+        crc = zlib.crc32(head)
+        for arr in arrays:
+            crc = write_array(fh, arr, crc)
+        fh.write(_CRC.pack(crc))
 
 
 def _listing(groups, payload: int) -> list:

@@ -22,9 +22,8 @@ import dataclasses
 import inspect
 import json
 import math
-import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 from . import data as D
 from . import metrics
 from . import training as tr
-from .checkpoint import json_is, load_checkpoint
+from .checkpoint import atomic_write, json_is, load_checkpoint
 from .decoding import caption_image
 from .model import ModelConfig
 from .tokenizer import build_vocab, detokenize_ids
@@ -73,7 +72,7 @@ _MODEL_KEYS = {k: spec for k, spec in _field_keys(ModelConfig).items()
 
 _GEN_DATA_KEYS = {
     **_field_keys(D.generate_synthetic_dataset),  # its seed, required, also cuts the split
-    **_field_keys(D.split_dataset, "train_fraction", "val_fraction", "test_fraction"),
+    **_field_keys(D.split_dataset, "train_fraction", "val_fraction"),
     "out_dir": (str, _REQUIRED),
 }
 
@@ -161,23 +160,17 @@ def _load(path):
 
 @contextmanager
 def _open_out(path):
-    """Open a temporary file beside --out, creating its directory, before the work
+    """Open --out's ``atomic_write``, creating its directory, before the work
     that fills it; it replaces --out only if the work succeeds."""
-    tmp = f"{path}.tmp"
-    try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        if Path(path).is_dir():
-            raise IsADirectoryError(f"{path} is a directory")
-        fh = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with ExitStack() as stack:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            if Path(path).is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+            fh = stack.enter_context(atomic_write(path, "w"))
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        yield fh
 
 
 def load_dataset(data_dir):
@@ -186,7 +179,7 @@ def load_dataset(data_dir):
     try:
         grids = D.read_features(base / "features.bin")
         refs = D.read_captions(base / "captions.jsonl")
-        split = json.loads((base / "split.json").read_text())
+        split = json.loads((base / "split.json").read_text(encoding="utf-8"))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load dataset from {data_dir}: {exc}") from exc
     if not isinstance(split, dict):
@@ -253,7 +246,8 @@ def write_manifest(path, command: str, config: dict, seed, start_step, end_step,
         "started_at": started_at,
         "finished_at": _now(),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +267,8 @@ def cmd_gen_data(args) -> int:
     D.write_captions(out / "captions.jsonl", samples)
     split = {name: [s.features.image_id for s in part]
              for name, part in (("train", train), ("val", val), ("test", test))}
-    (out / "split.json").write_text(json.dumps(split, sort_keys=True) + "\n")
+    with atomic_write(out / "split.json", "w") as fh:
+        fh.write(json.dumps(split, sort_keys=True) + "\n")
     write_manifest(out / "manifest.json", "gen-data", cfg, cfg["seed"], None, None,
                    {}, None,
                    [str(out / n) for n in ("features.bin", "captions.jsonl", "split.json")],
@@ -401,33 +396,16 @@ def cmd_caption(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = _now()
-    try:
-        refs = D.read_captions(args.references)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
     candidates, references = [], []
     try:
-        with open(args.candidates, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeError) as exc:
+        refs = D.read_captions(args.references)
+        for line_no, image_id, caption in D.read_id_lines(args.candidates, "caption", str):
+            if image_id not in refs:
+                raise DataError(f"{args.candidates} line {line_no}: image {image_id} has no references")
+            candidates.append(caption)
+            references.append(refs[image_id])
+    except (OSError, ValueError) as exc:  # a UnicodeError is a ValueError
         raise DataError(str(exc)) from exc
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
-            raise DataError(f"{args.candidates}:{line_no}: not valid JSON: {exc}") from exc
-        if (not isinstance(row, dict) or not json_is(row.get("id"), int)
-                or not isinstance(row.get("caption"), str)):
-            raise DataError(f"{args.candidates}:{line_no}: needs an object with an integer id "
-                            f"and a caption string")
-        image_id = row["id"]
-        if image_id not in refs:
-            raise DataError(f"{args.candidates}:{line_no}: image {image_id} has no references")
-        candidates.append(row["caption"])
-        references.append(refs[image_id])
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
     if not any(metrics.metric_tokens(r) for refs in references for r in refs):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import check_crc, json_is, read_array, write_array
+from .checkpoint import atomic_write, check_crc, json_is, read_array, write_array
 from .rng import ROLE_DATA, generator
 
 COLORS = ["red", "blue", "green", "yellow", "black", "white", "purple", "orange"]
@@ -83,9 +83,7 @@ def projection_matrix(feature_dim: int) -> np.ndarray:
 
 def _pairs_phrase(pairs) -> str:
     chunks = [f"a {c} {o}" for c, o in pairs]
-    if len(chunks) == 1:
-        return chunks[0]
-    return " and ".join([", ".join(chunks[:-1]), chunks[-1]]) if len(chunks) > 2 else " and ".join(chunks)
+    return " and ".join([", ".join(chunks[:-1]), chunks[-1]] if len(chunks) > 1 else chunks)
 
 
 def render_reference(pairs, order, template_index: int) -> str:
@@ -161,12 +159,12 @@ def generate_synthetic_dataset(
     return samples
 
 
-def split_dataset(samples, seed: int = 0, train_fraction: float = 0.8,
-                  val_fraction: float = 0.1, test_fraction: float = 0.1):
-    """Shuffle by id and cut into train/val/test; disjoint and seed-stable."""
-    fractions = (train_fraction, val_fraction, test_fraction)
-    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0.0 <= f <= 1.0 for f in fractions):
-        raise ValueError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
+def split_dataset(samples, seed: int = 0, train_fraction: float = 0.8, val_fraction: float = 0.1):
+    """Shuffle by id and cut into train/val/test, test being what train and val
+    leave; disjoint and seed-stable."""
+    fractions = (train_fraction, val_fraction)
+    if sum(fractions) > 1.0 + 1e-9 or not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"split fractions must lie in [0, 1] and sum to at most 1, got {fractions}")
     rng = generator(seed, ROLE_DATA, 0, 2)
     order = rng.permutation(len(samples))
     n_train = int(round(train_fraction * len(samples)))
@@ -199,7 +197,7 @@ def write_features(path, grids) -> None:
             raise ValueError(f"grid shape {fg.grid.shape} differs from first grid {(g, d)}")
         if not np.isfinite(fg.grid.astype("<f4", copy=False)).all():  # read_features would refuse it
             raise ValueError(f"image {fg.image_id} has values beyond the float32 range")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, g, d, len(grids)))
         crc = 0
         for i, fg in enumerate(grids):
@@ -234,26 +232,32 @@ def read_features(path) -> list:
 
 
 def write_captions(path, samples) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         for s in samples:
             fh.write(json.dumps({"id": s.features.image_id, "refs": s.references}) + "\n")
 
 
-def read_captions(path) -> dict:
-    refs = {}
-    with open(path) as fh:
+def read_id_lines(path, key: str, kind: type):
+    """(line number, id, value) of each non-blank line of a UTF-8 JSON-lines
+    file of ``{"id": int, key: kind}`` objects; any other line is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"captions line {line_no} is not valid JSON: {exc}") from exc
-            if not isinstance(row, dict) or not json_is(row.get("id"), int):
-                raise ValueError(f"captions line {line_no} needs an object with an integer id")
-            texts = row.get("refs")
-            if not isinstance(texts, list) or not texts or not all(isinstance(r, str) for r in texts):
-                raise ValueError(f"captions line {line_no} needs refs as a non-empty list of strings")
-            refs[row["id"]] = texts
+            except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
+                raise ValueError(f"{path} line {line_no} is not valid JSON: {exc}") from exc
+            if not (isinstance(row, dict) and json_is(row.get("id"), int) and json_is(row.get(key), kind)):
+                raise ValueError(f"{path} line {line_no} needs an object with an integer id "
+                                 f"and {key} as {kind.__name__}")
+            yield line_no, row["id"], row[key]
+
+
+def read_captions(path) -> dict:
+    refs = {}
+    for line_no, image_id, texts in read_id_lines(path, "refs", list):
+        if not texts or not all(isinstance(r, str) for r in texts):
+            raise ValueError(f"{path} line {line_no} needs refs as a non-empty list of strings")
+        refs[image_id] = texts
     return refs

@@ -388,7 +388,7 @@ def _open_log(path, step: int):
                 fh.truncate(kept)
                 break
             kept += len(line)
-    return open(path, "a")
+    return open(path, "a", encoding="utf-8")
 
 
 def _append_log(fh, record: dict) -> None:

@@ -420,7 +420,7 @@ def bench():
     thousands of steps.
     """
     samples = generate_synthetic_dataset(seed=1, num_images=250)
-    train, val, _ = split_dataset(samples, seed=1, val_fraction=0.2, test_fraction=0.0)
+    train, val, _ = split_dataset(samples, seed=1, val_fraction=0.2)
     vocab = build_vocab(caption_corpus(), 200)
     cfg = mdl.ModelConfig(vocab_size=len(vocab.tokens), model_dim=32,
                           feedforward_dim=128, num_heads=4,

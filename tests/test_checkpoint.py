@@ -318,6 +318,29 @@ def test_header_nested_too_deeply_raises_value_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_group_listing_that_is_not_a_list_raises_value_error(tmp_path):
+    save_checkpoint(tmp_path / "run.ckpt", _make_checkpoint(np.random.default_rng(10)))
+    groups = dict(_header(tmp_path / "run.ckpt")["groups"], adam_m={"a.bias": [[6], "<f8"]})
+    with pytest.raises(ValueError, match="'adam_m' is not a listing"):
+        load_checkpoint(with_header_keys(tmp_path / "run.ckpt", tmp_path / "bad.ckpt", groups=groups))
+
+
+def test_file_cut_short_after_its_checksum_passed_raises_value_error(tmp_path, monkeypatch):
+    """A file truncated in place while it is read (only an outside writer
+    does that: saves replace the file whole) ends inside an array."""
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, _make_checkpoint(np.random.default_rng(10)))
+    check_crc = checkpoint.check_crc
+
+    def check_then_cut(fh, size):
+        check_crc(fh, size)
+        os.truncate(path, path.stat().st_size - 6)  # the CRC and two bytes of the last blob
+
+    monkeypatch.setattr(checkpoint, "check_crc", check_then_cut)
+    with pytest.raises(ValueError, match="file ends inside an array"):
+        load_checkpoint(path)
+
+
 def test_magic_constant():
     assert CHECKPOINT_MAGIC == b"CMLC" and len(CHECKPOINT_MAGIC) == 4
 

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meancap import cli
+from meancap import checkpoint, cli
 from meancap import training as tr
 from meancap.checkpoint import load_checkpoint, save_checkpoint
-from meancap.data import caption_corpus, generate_synthetic_dataset, write_captions, write_features
+from meancap.data import (FeatureGrid, caption_corpus, generate_synthetic_dataset, write_captions,
+                          write_features)
 from meancap.model import ModelConfig
 from meancap.tokenizer import build_vocab
 from test_checkpoint import with_header_keys
@@ -38,7 +39,7 @@ def read_manifest(path):
 
 
 GEN = dict(seed=7, num_images=10, min_objects=1, max_objects=2, refs_per_image=3,
-           noise_sigma=0.02, train_fraction=0.8, val_fraction=0.2, test_fraction=0.0)
+           noise_sigma=0.02, train_fraction=0.8, val_fraction=0.2)
 TINY_MODEL = dict(vocab_size=120, model_dim=32, feedforward_dim=64, num_heads=4,
                   num_encoder_layers=1, num_decoder_layers=1, num_memory_slots=4,
                   max_length=24)
@@ -81,7 +82,7 @@ def test_gen_data_config_errors(tmp_path, capsys):
     assert cli.main(["gen-data", cfg]) == 2
 
     cfg = write_cfg(tmp_path / "c.cfg", seed=1, out_dir=str(tmp_path / "d"),
-                    train_fraction=0.9, val_fraction=0.9, test_fraction=0.9)
+                    train_fraction=0.9, val_fraction=0.9)
     assert cli.main(["gen-data", cfg]) == 2
 
 
@@ -227,7 +228,7 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("gen-data", dict(noise_sigma=math.nan)),
     ("gen-data", dict(noise_sigma=math.inf)),
     ("gen-data", dict(val_fraction=-math.inf)),
-    ("gen-data", dict(train_fraction=1.2, val_fraction=-0.1, test_fraction=-0.1)),
+    ("gen-data", dict(train_fraction=1.2, val_fraction=-0.1)),
     ("gen-data", dict(noise_sigma=-0.1)),
     ("gen-data", dict(feature_dim=0)),
     ("gen-data", dict(refs_per_image=0)),
@@ -571,6 +572,16 @@ def test_parse_config_of_arbitrary_bytes_gives_a_dict_or_config_error(content):
     assert isinstance(cfg, dict) and set(cfg) == set(cli._GEN_DATA_KEYS)
 
 
+@pytest.mark.parametrize("value", ['"ten"', "2.5", "[10]", "null"])
+def test_a_value_of_the_wrong_json_type_exits_two(tmp_path, capsys, value):
+    cfg = tmp_path / "xe.cfg"
+    cfg.write_text(f"seed = 1\ndata_dir = d\nout_dir = {tmp_path / 'xe'}\nsteps = {value}\n")
+    assert cli.main(["train-xe", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "steps must be int" in err["detail"], err
+    assert not (tmp_path / "xe").exists()
+
+
 def test_config_parser_details(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("seed = 1  # comment\n\nout_dir = plain/path\n")
@@ -609,7 +620,6 @@ KEY_TABLES = {
         "min_objects": (int, 1), "max_objects": (int, 4), "refs_per_image": (int, 5),
         "grid_size": (int, 9), "feature_dim": (int, 32), "noise_sigma": (float, 0.05),
         "train_fraction": (float, 0.8), "val_fraction": (float, 0.1),
-        "test_fraction": (float, 0.1),
     },
     "_TRAIN_XE_KEYS": {
         "seed": (int, REQUIRED), "data_dir": (str, REQUIRED), "out_dir": (str, REQUIRED),
@@ -818,3 +828,66 @@ def test_every_manifest_records_the_numpy_and_blas_builds(tiny_files, tmp_path):
     for manifest in ("data/manifest.json", "c.jsonl.manifest.json", "s.json.manifest.json"):
         got = read_manifest(tmp_path / manifest)
         assert {k: got[k] for k in want} == want, manifest
+
+
+@pytest.mark.parametrize("name, lines", [
+    ("cands.jsonl", ['{"id": 0, "caption": "a red ball"}', '{"id": 0, "caption": 3}']),
+    ("cands.jsonl", ['{"id": 0, "caption": "a red ball"}', '{"id": 5, "caption": "a cube"}']),
+    ("cands.jsonl", ['', '{"id": 0, "caption": "a red ball"}', "not json"]),
+    ("captions.jsonl", ['{"id": 0, "refs": ["a red ball"]}', '{"id": 1, "refs": []}']),
+])
+def test_evaluate_names_the_line_of_a_malformed_caption_file(tiny_files, name, lines):
+    files = dict(tiny_files, **{"cands.jsonl": b'{"id": 0, "caption": "a red ball"}\n'})
+    files[name] = "\n".join(lines).encode() + b"\n"
+    code, err = _run_cli(files, _EVALUATE)
+    assert code == 3, err
+    detail = json.loads(err)["detail"]
+    assert f"{name} line {len(lines)}" in detail, detail
+
+
+def _gen_data(d):
+    return cli.main(["gen-data", write_cfg(d / "gen.cfg", out_dir=str(d / "data"), **GEN)])
+
+
+# each writer with the target it replaces
+_WRITERS = {
+    "save_checkpoint": (lambda d: save_checkpoint(d / "run.ckpt", load_checkpoint(d / "tiny.ckpt")),
+                        "run.ckpt"),
+    "write_features": (lambda d: write_features(d / "f.bin", [FeatureGrid(0, np.ones((1, 2), np.float32))]),
+                       "f.bin"),
+    "write_captions": (lambda d: write_captions(d / "refs.jsonl",
+                                                generate_synthetic_dataset(seed=1, num_images=2)),
+                       "refs.jsonl"),
+    "gen-data split.json": (_gen_data, "data/split.json"),
+    "gen-data manifest.json": (_gen_data, "data/manifest.json"),
+    "caption --out": (lambda d: cli.main([a.format(d) for a in _CAPTION]), "c.jsonl"),
+    "evaluate --out": (lambda d: cli.main([a.format(d) for a in _EVALUATE]), "s.json"),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_a_crash_before_the_rename_leaves_the_earlier_file_whole(tiny_files, tmp_path, monkeypatch,
+                                                                 writer):
+    """A kill between the temporary file's write and its rename, simulated
+    by a rename that fails: the target keeps its earlier bytes."""
+    write, target = _WRITERS[writer]
+    for name, content in tiny_files.items():
+        (tmp_path / name).write_bytes(content)
+    (tmp_path / "cands.jsonl").write_text('{"id": 0, "caption": "a red ball"}\n')
+    (tmp_path / target).parent.mkdir(exist_ok=True)
+    (tmp_path / target).write_bytes(b"earlier\n")
+    replace = checkpoint.os.replace
+
+    def killed_at_target(src, dst):
+        if Path(dst) == tmp_path / target:
+            raise OSError("killed before the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", killed_at_target)
+    with pytest.raises(OSError, match="killed before the rename"):
+        write(tmp_path)
+    assert (tmp_path / target).read_bytes() == b"earlier\n"
+    assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
+    monkeypatch.undo()
+    write(tmp_path)  # the same write with a working rename replaces the file
+    assert (tmp_path / target).read_bytes() != b"earlier\n"

@@ -88,9 +88,11 @@ def test_splits_disjoint_and_stable():
     assert ids(tr1) == ids(tr2) and ids(va1) == ids(va2) and ids(te1) == ids(te2)
     all_ids = ids(tr1) + ids(va1) + ids(te1)
     assert sorted(all_ids) == list(range(50))
-    with pytest.raises(ValueError):  # sums to 1, but no split can be negative
-        data.split_dataset(samples, seed=4, train_fraction=1.2, val_fraction=-0.1,
-                           test_fraction=-0.1)
+    for fractions in ((1.2, -0.1), (0.9, 0.2)):  # no split may be negative or past the whole
+        with pytest.raises(ValueError):
+            data.split_dataset(samples, seed=4, train_fraction=fractions[0], val_fraction=fractions[1])
+    train, val, test = data.split_dataset(samples, seed=4, train_fraction=0.5, val_fraction=0.2)
+    assert (len(train), len(val), len(test)) == (25, 10, 15)  # test is what train and val leave
 
 
 def test_feature_round_trip_bit_exact(tmp_path):
@@ -235,3 +237,35 @@ def test_captions_reject_malformed(tmp_path):
         path.write_text('{"id": 0, "refs": ["a cat"]}\n' + line + "\n")
         with pytest.raises(ValueError, match="line 2"):
             data.read_captions(path)
+
+
+def test_captions_are_read_as_utf8_and_blank_lines_skipped(tmp_path):
+    path = tmp_path / "caps.jsonl"
+    path.write_bytes('{"id": 0, "refs": ["a café"]}\n\n{"id": 1, "refs": ["a dog"]}\n'.encode("utf-8"))
+    assert data.read_captions(path) == {0: ["a café"], 1: ["a dog"]}
+
+
+def test_write_features_refuses_no_grids_or_grids_of_two_shapes(tmp_path):
+    path = tmp_path / "feat.bin"
+    with pytest.raises(ValueError, match="no feature grids"):
+        data.write_features(path, [])
+    grids = [data.FeatureGrid(0, np.zeros((2, 3), np.float32)),
+             data.FeatureGrid(1, np.zeros((3, 2), np.float32))]
+    with pytest.raises(ValueError, match="differs from first grid"):
+        data.write_features(path, grids)
+    assert not os.listdir(tmp_path)  # refused before any file is opened
+
+
+@pytest.mark.parametrize("grid, match", [(np.zeros(3, np.float32), "2D"),
+                                         (np.zeros((1, 2, 3), np.float32), "2D"),
+                                         (np.array([[0.0, np.nan]], np.float32), "non-finite"),
+                                         (np.array([[np.inf]], np.float32), "non-finite")])
+def test_feature_grid_must_be_2d_and_finite(grid, match):
+    with pytest.raises(ValueError, match=match):
+        data.FeatureGrid(3, grid)
+
+
+@pytest.mark.parametrize("references", [[], [""], ["a dog", ""]])
+def test_captioned_sample_needs_non_empty_references(references):
+    with pytest.raises(ValueError, match="non-empty references"):
+        data.CaptionedSample(data.FeatureGrid(3, np.zeros((1, 1), np.float32)), references)

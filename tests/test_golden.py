@@ -4,8 +4,9 @@ each artifact's sha256 must equal the one in ``golden/pipeline.sha256``.
 
 The listing has the form ``demos/cli_walkthrough.sh`` prints: one
 ``sha256  relative/path`` line per artifact, sorted by path, manifests and
-configs left out.  Its header records the numpy and BLAS builds it was made
-with, since float results may differ between builds.  A change that moves
+configs left out.  Its header records the OpenBLAS kernel picked at run time
+and the numpy and BLAS builds it was made with, since float results may
+differ between them; a failure compares the kernel first.  A change that moves
 any bit of training or decoding fails here; when the move is intended,
 rewrite the listing and name the artifacts that changed, which the rewrite
 prints as a diff against the committed listing:
@@ -13,7 +14,9 @@ prints as a diff against the committed listing:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import ctypes
 import difflib
+import glob
 import hashlib
 import json
 import sys
@@ -62,18 +65,33 @@ def run_pipeline(work: Path) -> str:
                    for n in names)
 
 
+def openblas_core():
+    """The kernel OpenBLAS picked for this CPU, read from the library bundled
+    with numpy; None where that lookup fails."""
+    try:
+        (lib,) = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*"))
+        corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):  # no such library, or no such symbol
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def builds() -> str:
-    return f"# numpy {np.__version__}\n# blas {json.dumps(cli._blas(), sort_keys=True)}\n"
+    return (f"# openblas core {openblas_core()}\n# numpy {np.__version__}\n"
+            f"# blas {json.dumps(cli._blas(), sort_keys=True)}\n")
 
 
 def test_pipeline_artifacts_match_the_golden_listing(tmp_path):
     recorded = GOLDEN.read_text().splitlines(keepends=True)
-    header = "".join(line for line in recorded if line.startswith("#"))
+    header = [line for line in recorded if line.startswith("#")]
     want = [line for line in recorded if not line.startswith("#")]
     got = run_pipeline(tmp_path).splitlines(keepends=True)
+    # the kernel first: under another kernel the builds read the same
     assert got == want, (
-        f"artifact bits differ from {GOLDEN.name}.\nrecorded under:\n{header}"
-        f"this run under:\n{builds()}"
+        f"artifact bits differ from {GOLDEN.name}.\n"
+        + "".join(f"recorded {old}this run {new}"
+                  for old, new in zip(header, builds().splitlines(keepends=True)))
         + "".join(difflib.unified_diff(want, got, "recorded", "this run")))
 
 
