@@ -23,7 +23,7 @@ import inspect
 import json
 import math
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -158,19 +158,13 @@ def _load(path):
         raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
-@contextmanager
 def _open_out(path):
-    """Open --out's ``atomic_write``, creating its directory, before the work
+    """--out's ``atomic_write``, its directory made, to enter before the work
     that fills it; it replaces --out only if the work succeeds."""
-    with ExitStack() as stack:
-        try:
-            Path(path).parent.mkdir(parents=True, exist_ok=True)
-            if Path(path).is_dir():
-                raise IsADirectoryError(f"{path} is a directory")
-            fh = stack.enter_context(atomic_write(path, "w"))
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
-        yield fh
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    return atomic_write(path, "w")
 
 
 def load_dataset(data_dir):
@@ -180,7 +174,7 @@ def load_dataset(data_dir):
         grids = D.read_features(base / "features.bin")
         refs = D.read_captions(base / "captions.jsonl")
         split = json.loads((base / "split.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot load dataset from {data_dir}: {exc}") from exc
     if not isinstance(split, dict):
         raise DataError(f"split.json in {data_dir} must be an object of splits")
@@ -221,10 +215,7 @@ def _now() -> str:
 
 def _blas() -> dict:
     """Name and version of the BLAS numpy was built with, None where unknown."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
@@ -263,16 +254,19 @@ def cmd_gen_data(args) -> int:
         samples = D.generate_synthetic_dataset(**_fields_of(D.generate_synthetic_dataset, cfg))
         train, val, test = D.split_dataset(samples, **_fields_of(D.split_dataset, cfg))
         out.mkdir(parents=True, exist_ok=True)
+        # split.json goes last, so a directory that has one holds a whole generation
+        for name in ("split.json", "manifest.json"):
+            (out / name).unlink(missing_ok=True)
         D.write_features(out / "features.bin", [s.features for s in samples])
     D.write_captions(out / "captions.jsonl", samples)
-    split = {name: [s.features.image_id for s in part]
-             for name, part in (("train", train), ("val", val), ("test", test))}
-    with atomic_write(out / "split.json", "w") as fh:
-        fh.write(json.dumps(split, sort_keys=True) + "\n")
     write_manifest(out / "manifest.json", "gen-data", cfg, cfg["seed"], None, None,
                    {}, None,
                    [str(out / n) for n in ("features.bin", "captions.jsonl", "split.json")],
                    started)
+    split = {name: [s.features.image_id for s in part]
+             for name, part in (("train", train), ("val", val), ("test", test))}
+    with atomic_write(out / "split.json", "w") as fh:
+        fh.write(json.dumps(split, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -287,6 +281,10 @@ def _train_stage(command: str, cfg: dict, state, started: str, train, source=Non
         raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
                           f"{state.config.vocab_size}")
     out.mkdir(parents=True, exist_ok=True)
+    try:  # a log left in out_dir is read before step 1; later ValueErrors are faults
+        tr.open_log(loop.log_path, state.step).close()
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     start_step = state.step
     result = train(loop)
     checkpoints = {"last": str(out / "last.ckpt")}
@@ -368,7 +366,7 @@ def cmd_caption(args) -> int:
     _ckpt, state, vocab = _load(args.checkpoint)
     try:
         grids = D.read_features(args.features)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
     if grids and grids[0].grid.shape[1] != state.config.feature_dim:
         raise DataError(f"{args.features} has {grids[0].grid.shape[1]} features per cell, "
@@ -404,7 +402,7 @@ def cmd_evaluate(args) -> int:
                 raise DataError(f"{args.candidates} line {line_no}: image {image_id} has no references")
             candidates.append(caption)
             references.append(refs[image_id])
-    except (OSError, ValueError) as exc:  # a UnicodeError is a ValueError
+    except ValueError as exc:  # a UnicodeError is a ValueError
         raise DataError(str(exc)) from exc
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
@@ -468,7 +466,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # a file that cannot be read or written is bad data
         print(json.dumps({"error": "data", "detail": str(exc)}), file=sys.stderr)
         return EXIT_DATA
     except tr.TrainingDiverged as exc:

@@ -168,7 +168,9 @@ def split_dataset(samples, seed: int = 0, train_fraction: float = 0.8, val_fract
     rng = generator(seed, ROLE_DATA, 0, 2)
     order = rng.permutation(len(samples))
     n_train = int(round(train_fraction * len(samples)))
-    n_val = int(round(val_fraction * len(samples)))
+    # fractions that leave nothing leave no test image
+    n_val = (len(samples) - n_train if train_fraction + val_fraction >= 1.0 - 1e-9
+             else int(round(val_fraction * len(samples))))
     train = [samples[i] for i in order[:n_train]]
     val = [samples[i] for i in order[n_train:n_train + n_val]]
     test = [samples[i] for i in order[n_train + n_val:]]

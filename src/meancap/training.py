@@ -374,17 +374,27 @@ def validate_cider(params, config: ModelConfig, samples, vocab: Vocabulary,
     return metrics.cider_d(candidates, references, df)
 
 
-def _open_log(path, step: int):
+def open_log(path, step: int):
     """Open the log for appending, first cutting it at its first record
     past ``step``: a run resumed from an older checkpoint logs those steps
-    again, and a torn last line from a crash is dropped the same way."""
+    again, and a torn last line from a crash is dropped the same way.  A
+    whole line that is no record with an integer step is a ValueError."""
     if not path:
         return None
     with open(path, "ab+") as fh:
         fh.seek(0)
         kept = 0
-        for line in fh:
-            if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+        for line_no, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                fh.truncate(kept)
+                break
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):  # also too deep, or an integer too long
+                record = None
+            if not isinstance(record, dict) or not json_is(record.get("step"), int):
+                raise ValueError(f"{path} line {line_no}: not a log record with an integer step")
+            if record["step"] > step:
                 fh.truncate(kept)
                 break
             kept += len(line)
@@ -497,7 +507,7 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
 
     validating = bool(val_samples and loop.val_every)
     val_df = metrics.DocumentFrequency([s.references for s in val_samples]) if validating else None
-    log_fh = _open_log(loop.log_path, state.step)
+    log_fh = open_log(loop.log_path, state.step)
     first, scores = state.step, None
     try:
         while state.step < loop.steps:

@@ -2,11 +2,15 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -849,7 +853,20 @@ def _gen_data(d):
     return cli.main(["gen-data", write_cfg(d / "gen.cfg", out_dir=str(d / "data"), **GEN)])
 
 
-# each writer with the target it replaces
+def _kill_the_rename_onto(monkeypatch, target):
+    """Make ``atomic_write``'s rename onto ``target`` fail, as a kill just before it would."""
+    replace = checkpoint.os.replace
+
+    def killed_at_target(src, dst):
+        if Path(dst) == target:
+            raise OSError("killed before the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", killed_at_target)
+
+
+# each writer with the target it replaces; the library writers raise, the commands exit 3
+_LIBRARY_WRITERS = ("save_checkpoint", "write_features", "write_captions")
 _WRITERS = {
     "save_checkpoint": (lambda d: save_checkpoint(d / "run.ckpt", load_checkpoint(d / "tiny.ckpt")),
                         "run.ckpt"),
@@ -867,27 +884,145 @@ _WRITERS = {
 
 @pytest.mark.parametrize("writer", list(_WRITERS))
 def test_a_crash_before_the_rename_leaves_the_earlier_file_whole(tiny_files, tmp_path, monkeypatch,
-                                                                 writer):
+                                                                 capsys, writer):
     """A kill between the temporary file's write and its rename, simulated
-    by a rename that fails: the target keeps its earlier bytes."""
+    by a rename that fails: the target keeps its earlier bytes.  gen-data
+    removes its split.json and manifest.json first, so there the target is
+    gone and the unfinished dataset is refused."""
     write, target = _WRITERS[writer]
     for name, content in tiny_files.items():
         (tmp_path / name).write_bytes(content)
     (tmp_path / "cands.jsonl").write_text('{"id": 0, "caption": "a red ball"}\n')
     (tmp_path / target).parent.mkdir(exist_ok=True)
     (tmp_path / target).write_bytes(b"earlier\n")
-    replace = checkpoint.os.replace
-
-    def killed_at_target(src, dst):
-        if Path(dst) == tmp_path / target:
-            raise OSError("killed before the rename")
-        replace(src, dst)
-
-    monkeypatch.setattr(checkpoint.os, "replace", killed_at_target)
-    with pytest.raises(OSError, match="killed before the rename"):
-        write(tmp_path)
-    assert (tmp_path / target).read_bytes() == b"earlier\n"
+    _kill_the_rename_onto(monkeypatch, tmp_path / target)
+    if writer in _LIBRARY_WRITERS:
+        with pytest.raises(OSError, match="killed before the rename"):
+            write(tmp_path)
+    else:
+        assert write(tmp_path) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "data",
+                                                       "detail": "killed before the rename"}
+    if writer.startswith("gen-data"):
+        assert not (tmp_path / target).exists()
+        with pytest.raises(cli.DataError, match="split.json"):
+            cli.load_dataset(tmp_path / "data")
+    else:
+        assert (tmp_path / target).read_bytes() == b"earlier\n"
     assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
     monkeypatch.undo()
-    write(tmp_path)  # the same write with a working rename replaces the file
+    assert write(tmp_path) in (None, 0)  # the same write with a working rename replaces the file
     assert (tmp_path / target).read_bytes() != b"earlier\n"
+
+
+def test_a_gen_data_run_that_stops_early_leaves_a_dataset_train_xe_refuses(tmp_path, monkeypatch,
+                                                                           capsys):
+    data = tmp_path / "data"
+
+    def gen_data(seed):
+        return cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(data),
+                                               **dict(GEN, seed=seed))])
+
+    assert gen_data(1) == 0
+    _kill_the_rename_onto(monkeypatch, data / "split.json")
+    assert gen_data(2) == 3  # features.bin and captions.jsonl of seed 2 are in place
+    monkeypatch.undo()
+    capsys.readouterr()
+    xe_cfg = write_cfg(tmp_path / "xe.cfg", seed=1, data_dir=str(data),
+                       out_dir=str(tmp_path / "xe"), steps=1, **TINY_MODEL)
+    assert cli.main(["train-xe", xe_cfg]) == 3
+    assert "split.json" in json.loads(capsys.readouterr().err)["detail"]
+    assert not (tmp_path / "xe").exists()
+
+
+# each way a command can fail on a file, as argv over a directory that holds
+# the regular file "file" and a candidate file; "file/..." cannot be made
+_FILE_FAILURES = {
+    "gen-data out_dir under a file":
+        lambda d, run: ["gen-data", write_cfg(d / "gen.cfg", out_dir=str(d / "file" / "data"), **GEN)],
+    "train-xe out_dir under a file":
+        lambda d, run: ["train-xe", write_cfg(d / "xe.cfg", seed=7, data_dir=str(run / "data"),
+                                              out_dir=str(d / "file" / "xe"), steps=1, **TINY_MODEL)],
+    "train-scst out_dir under a file":
+        lambda d, run: ["train-scst", write_cfg(d / "scst.cfg", data_dir=str(run / "data"),
+                                                out_dir=str(d / "file" / "scst"), steps=1,
+                                                batch_size=2, beam_size=2),
+                        str(run / "xe" / "last.ckpt")],
+    "caption --out under a file":
+        lambda d, run: ["caption", str(run / "xe" / "last.ckpt"), str(run / "data" / "features.bin"),
+                        "--beam", "2", "--out", str(d / "file" / "c.jsonl")],
+    "evaluate --out under a file":
+        lambda d, run: ["evaluate", str(d / "cands.jsonl"), str(run / "data" / "captions.jsonl"),
+                        "--out", str(d / "file" / "s.json")],
+    "train-xe checkpoint fsync ENOSPC":
+        lambda d, run: ["train-xe", write_cfg(d / "xe.cfg", seed=7, data_dir=str(run / "data"),
+                                              out_dir=str(d / "xe"), steps=1, batch_size=2,
+                                              **TINY_MODEL)],
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_FAILURES))
+def test_a_file_that_cannot_be_written_exits_three(overfit_run, tmp_path, capsys, monkeypatch, case):
+    (tmp_path / "file").write_text("a regular file\n")
+    (tmp_path / "cands.jsonl").write_text('{"id": 0, "caption": "a red ball"}\n')
+    argv = _FILE_FAILURES[case](tmp_path, overfit_run)
+    if "ENOSPC" in case:
+        def full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(checkpoint.os, "fsync", full)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "data", err
+    assert ("No space left" if "ENOSPC" in case else str(tmp_path / "file")) in json.loads(err)["detail"]
+    assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
+
+
+def test_python_dash_m_meancap_reports_a_file_failure_in_one_json_line(tmp_path):
+    (tmp_path / "file").write_text("a regular file\n")
+    cfg = write_cfg(tmp_path / "gen.cfg", out_dir=str(tmp_path / "file" / "data"), **GEN)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "meancap", "gen-data", cfg], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "data"
+
+
+@pytest.mark.parametrize("bad", ["garbage", '{"no_step": 1}', "[1]"])
+def test_a_malformed_train_log_exits_three_before_step_one(overfit_run, tmp_path, capsys, bad):
+    out = tmp_path / "xe"
+    out.mkdir()
+    (out / "train_log.jsonl").write_text('{"step": 0}\n' + bad + "\n")
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=str(overfit_run / "data"),
+                    out_dir=str(out), steps=1, batch_size=2, **TINY_MODEL)
+    assert cli.main(["train-xe", cfg]) == 3
+    assert "train_log.jsonl line 2" in json.loads(capsys.readouterr().err)["detail"]
+    assert [p.name for p in out.iterdir()] == ["train_log.jsonl"]
+
+
+def test_a_value_error_inside_a_training_step_is_not_a_data_error(overfit_run, tmp_path,
+                                                                  monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault inside a step")
+
+    monkeypatch.setattr(tr, "xe_step", broken)
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "xe"), steps=1, batch_size=2, **TINY_MODEL)
+    with pytest.raises(ValueError, match="inside a step"):
+        cli.main(["train-xe", cfg])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda tokens: tokens[:4] + tokens[3:4] + tokens[5:], "duplicate token"),
+    (lambda tokens: tokens[3:4] + tokens[1:3] + tokens[:1] + tokens[4:], "reserved tokens must open"),
+], ids=["duplicate", "reserved"])
+def test_caption_of_a_checkpoint_with_a_malformed_vocabulary_exits_three(tiny_files, tmp_path, edit,
+                                                                        message):
+    (tmp_path / "tiny.ckpt").write_bytes(tiny_files["tiny.ckpt"])
+    ckpt = load_checkpoint(tmp_path / "tiny.ckpt")
+    ckpt.vocab["tokens"] = edit(ckpt.vocab["tokens"])
+    save_checkpoint(tmp_path / "tiny.ckpt", ckpt)  # with a valid checksum
+    code, err = _run_cli(dict(tiny_files, **{"tiny.ckpt": (tmp_path / "tiny.ckpt").read_bytes()}),
+                         _CAPTION)
+    assert code == 3 and message in json.loads(err)["detail"], err

@@ -93,6 +93,9 @@ def test_splits_disjoint_and_stable():
             data.split_dataset(samples, seed=4, train_fraction=fractions[0], val_fraction=fractions[1])
     train, val, test = data.split_dataset(samples, seed=4, train_fraction=0.5, val_fraction=0.2)
     assert (len(train), len(val), len(test)) == (25, 10, 15)  # test is what train and val leave
+    for n, sizes in ((5, (2, 3, 0)), (7, (4, 3, 0))):  # fractions that sum to 1 leave no test
+        parts = data.split_dataset(samples[:n], seed=4, train_fraction=0.5, val_fraction=0.5)
+        assert tuple(map(len, parts)) == sizes
 
 
 def test_feature_round_trip_bit_exact(tmp_path):
