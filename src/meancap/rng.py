@@ -1,13 +1,17 @@
 """Counter-based random streams.
 
-Every random draw in the library is a pure function of (seed, role, step,
-counter), realised through Philox keyed by a SeedSequence spawn key.  This
-makes training runs reproducible bit for bit, lets a resumed run replay the
-exact draws of the uninterrupted one, and keeps the online and target models
-on independent streams so that adding or removing one model's forward pass
-never perturbs the other's randomness.
+Every random draw in the library comes from Philox keyed by a SeedSequence
+spawn key.  Dropout reads one stream per (seed, role, step) in draw order, so
+its masks are a function of (seed, role, step) and of the order and shapes
+of the draws within the step, which the model code fixes.  This makes runs
+reproducible bit for bit, lets a resumed run replay the exact draws of the
+uninterrupted one, and keeps the online and target models on independent
+streams, so one model's forward passes never perturb the other's draws.  A
+mask drops a unit with probability exactly ceil(rate * 2^16) / 2^16, less
+than 2^-16 above ``rate``.
 """
 
+import math
 import zlib
 
 import numpy as np
@@ -33,25 +37,19 @@ def name_key(name: str) -> int:
 
 
 class KeyedRng:
-    """A per-role stream of draws indexed by (step, call counter).
-
-    Usage: call ``begin_step(step)`` once per training step, then each
-    ``uniform(shape)`` call consumes the next counter value.  Draws depend
-    only on (seed, role, step, counter), never on how many draws other
-    streams made.
-    """
+    """A per-role stream of dropout masks: ``begin_step(step)`` restarts it
+    at that step, and each ``keep(shape, rate)`` reads its next block."""
 
     def __init__(self, seed: int, role: int):
         self.seed = int(seed)
         self.role = int(role)
-        self.step = 0
-        self._counter = 0
+        self.begin_step(0)
 
     def begin_step(self, step: int) -> None:
         self.step = int(step)
-        self._counter = 0
+        self._gen = generator(self.seed, self.role, self.step)
 
-    def uniform(self, shape) -> np.ndarray:
-        g = generator(self.seed, self.role, self.step, self._counter)
-        self._counter += 1
-        return g.random(shape)
+    def keep(self, shape, rate: float) -> np.ndarray:
+        """A boolean mask, each entry False with probability ceil(rate * 2^16) / 2^16."""
+        bits = self._gen.integers(0, 1 << 16, size=shape, dtype=np.uint16)
+        return bits >= math.ceil(rate * 65536)

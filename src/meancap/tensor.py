@@ -337,13 +337,13 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
     """Inverted dropout; identity without an ``rng`` (evaluating) or at rate zero.
 
     The mask comes from the caller's keyed stream so that the draw sequence
-    is a pure function of (seed, role, step, call index).
+    is a pure function of (seed, role, step) and the order of draws.
     """
     if rng is None or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.uniform(x.data.shape) >= rate  # saved as booleans, a quarter of a float32 mask
+    keep = rng.keep(x.data.shape, rate)  # saved as booleans, a quarter of a float32 mask
     out = x.data * (keep.astype(x.data.dtype) / (1.0 - rate))
 
     def bw(g, vx):

@@ -88,6 +88,13 @@ def test_rejects_bad_matrices():
         A.hungarian(np.zeros((0, 0)))
 
 
+def test_embedder_rejects_a_mismatched_idf_table_and_an_empty_corpus():
+    with pytest.raises(ValueError, match="idf table shape"):
+        A.BagEmbedder(12, np.ones(11))
+    with pytest.raises(ValueError, match="corpus is empty"):
+        A.BagEmbedder.from_corpus([], vocab_size=12)
+
+
 # --- pairing cost ----------------------------------------------------------
 
 

@@ -12,20 +12,31 @@ rewrite the listing and name the artifacts that changed, which the rewrite
 prints as a diff against the committed listing:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+and size each change against another tree's ``src`` directory, which runs the
+pipeline once per tree, each in its own process, and prints a report per
+artifact (it rewrites nothing):
+
+    PYTHONPATH=src python3 tests/test_golden.py --against OTHER_SRC
 """
 
+import argparse
 import ctypes
 import difflib
 import glob
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from meancap import cli
+from meancap.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden" / "pipeline.sha256"
 
@@ -59,10 +70,14 @@ def run_pipeline(work: Path) -> str:
     ]
     for argv in runs:
         assert cli.main(argv) == 0, argv
-    names = sorted(p.relative_to(work).as_posix() for p in work.rglob("*")
-                   if p.is_file() and not p.name.endswith("manifest.json") and p.suffix != ".cfg")
     return "".join(f"{hashlib.sha256((work / n).read_bytes()).hexdigest()}  {n}\n"
-                   for n in names)
+                   for n in artifacts(work))
+
+
+def artifacts(work: Path) -> list:
+    """The listed artifacts' paths relative to ``work``, sorted."""
+    return sorted(p.relative_to(work).as_posix() for p in work.rglob("*")
+                  if p.is_file() and not p.name.endswith("manifest.json") and p.suffix != ".cfg")
 
 
 def openblas_core():
@@ -95,7 +110,150 @@ def test_pipeline_artifacts_match_the_golden_listing(tmp_path):
         + "".join(difflib.unified_diff(want, got, "recorded", "this run")))
 
 
+def test_the_bit_change_report_sizes_each_artifact(tmp_path):
+    for side, bump in (("old", 0.0), ("new", 0.5)):
+        work = tmp_path / side
+        (work / "xe").mkdir(parents=True)
+        (work / "data").mkdir()
+        online = np.array([1.0, 2.0, 4.0 + bump], np.float32)
+        save_checkpoint(work / "xe" / "last.ckpt", Checkpoint(
+            config={}, vocab={}, step=2, adam_t=2, seed=0, stage="xe", momentum=0.9, lambda_kd=0.1,
+            groups={"online": {"w": online}, "target": {"w": np.ones(3, np.float32)}}))
+        records = [{"step": 1, "xe_loss": 1.0}, {"step": 2, "xe_loss": 2.0 + bump},
+                   {"event": "val", "step": 2, "val_cider_online": 0.25 + bump}]
+        (work / "xe" / "train_log.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        (work / "captions.jsonl").write_text(
+            json.dumps({"caption": "a", "id": 0, "logprob": -1.0 - bump}) + "\n")
+        (work / "scores.json").write_text(json.dumps({"BLEU-1": 0.5, "CIDEr-D": 1.0 + bump}))
+        (work / "data" / "split.json").write_text("{}")
+    assert compare(tmp_path / "old", tmp_path / "new").splitlines() == [
+        "captions.jsonl: changed",
+        "  only logprobs changed",
+        "  logprobs: 1 of 1 values differ, max |d| 0.5, max rel 0.333",
+        "data/split.json: unchanged",
+        "scores.json: changed",
+        "  CIDEr-D: 1.0 -> 1.5 (+0.5)",
+        "xe/last.ckpt: changed",
+        "  group online: 1 of 3 values differ, max |d| 0.5, max rel 0.111",
+        "  group target: equal",
+        "xe/train_log.jsonl: changed",
+        "  val_cider_online: 1 of 3 records differ, steps 2..2, max |d| 0.5",
+        "  xe_loss: 1 of 3 records differ, steps 2..2, max |d| 0.5",
+    ]
+
+
+# -- the bit-change report ----------------------------------------------------
+
+
+def run_tree(src: Path, work: Path) -> None:
+    """Run the pipeline under ``work`` in a new process importing meancap from ``src``."""
+    code = "import sys, pathlib, test_golden; test_golden.run_pipeline(pathlib.Path(sys.argv[1]))"
+    path = os.pathsep.join([str(src.resolve()), str(Path(__file__).parent)])
+    subprocess.run([sys.executable, "-c", code, str(work)], check=True,
+                   stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=path))
+
+
+def _sizes(old: np.ndarray, new: np.ndarray) -> str:
+    """How many values differ, and the largest absolute and relative difference."""
+    old, new = old.astype(np.float64), new.astype(np.float64)
+    differ = old != new
+    if not differ.any():
+        return "equal"
+    gap = np.abs(old - new)[differ]
+    rel = gap / np.maximum(np.abs(old), np.abs(new))[differ]
+    return (f"{differ.sum():,} of {differ.size:,} values differ, "
+            f"max |d| {gap.max():.3g}, max rel {rel.max():.3g}")
+
+
+def _checkpoint(old: Path, new: Path) -> list:
+    a, b = load_checkpoint(old), load_checkpoint(new)
+    lines = [f"header {f.name}: {getattr(a, f.name)} -> {getattr(b, f.name)}"
+             for f in fields(Checkpoint)
+             if f.name != "groups" and getattr(a, f.name) != getattr(b, f.name)]
+    for group in sorted(a.groups.keys() | b.groups.keys()):
+        x, y = a.groups.get(group, {}), b.groups.get(group, {})
+        if {n: v.shape for n, v in x.items()} != {n: v.shape for n, v in y.items()}:
+            lines.append(f"group {group}: parameter names or shapes differ")
+            continue
+        flat = [np.concatenate([v[n].ravel() for n in sorted(v)]) for v in (x, y)]
+        lines.append(f"group {group}: {_sizes(*flat)}")
+    return lines
+
+
+def _jsonl(path: Path) -> list:
+    return [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+
+
+def _log(old: Path, new: Path) -> list:
+    # a validation record shares its step with a training record
+    a, b = ({(r["step"], "event" in r): r for r in _jsonl(path)} for path in (old, new))
+    lines = [f"{len(a.keys() ^ b.keys())} records in one log only"] if a.keys() != b.keys() else []
+    both = sorted(a.keys() & b.keys())
+    for name in sorted({f for k in both for r in (a[k], b[k]) for f in r}):
+        steps = [k[0] for k in both if a[k].get(name) != b[k].get(name)]
+        if not steps:
+            continue
+        gaps = [abs(a[k][name] - b[k][name]) for k in both
+                if isinstance(a[k].get(name), float) and isinstance(b[k].get(name), float)]
+        size = f", max |d| {max(gaps):.3g}" if gaps else ""
+        lines.append(f"{name}: {len(steps)} of {len(both)} records differ, "
+                     f"steps {steps[0]}..{steps[-1]}{size}")
+    return lines
+
+
+def _captions(old: Path, new: Path) -> list:
+    a, b = ({r["id"]: r for r in _jsonl(path)} for path in (old, new))
+    if a.keys() != b.keys():
+        return ["the captioned image ids differ"]
+    ids = sorted(a)
+    text = sum(a[i]["caption"] != b[i]["caption"] for i in ids)
+    logprob = np.array([[a[i]["logprob"], b[i]["logprob"]] for i in ids]).T
+    return [f"text changed for {text} of {len(ids)} images" if text else "only logprobs changed",
+            f"logprobs: {_sizes(*logprob)}"]
+
+
+def _scores(old: Path, new: Path) -> list:
+    a, b = (json.loads(path.read_text("utf-8")) for path in (old, new))
+    return [f"{m}: {a.get(m)} -> {b.get(m)}" + (f" ({b[m] - a[m]:+.3g})" if m in a and m in b else "")
+            for m in sorted(a.keys() | b.keys()) if a.get(m) != b.get(m)]
+
+
+def compare(old: Path, new: Path) -> str:
+    """A report per artifact of the pipeline run under ``new`` against the one under ``old``."""
+    out = []
+    for name in sorted(set(artifacts(old)) | set(artifacts(new))):
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            out.append(f"{name}: only in the {'other' if a.exists() else 'this'} tree\n")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            out.append(f"{name}: unchanged\n")
+            continue
+        sizer = (_checkpoint if a.suffix == ".ckpt" else _log if a.name == "train_log.jsonl"
+                 else _captions if name == "captions.jsonl" else _scores if name == "scores.json"
+                 else None)
+        out.append(f"{name}: changed\n")
+        out.extend(f"  {line}\n" for line in (sizer(a, b) if sizer else ["bytes differ"]))
+    return "".join(out)
+
+
+def report(other_src: Path) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        old, new = Path(d, "other"), Path(d, "this")
+        for src, work in ((other_src, old), (Path(__file__).parents[1] / "src", new)):
+            work.mkdir()
+            run_tree(src, work)
+        return compare(old, new)
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="report how this tree's artifacts differ from OTHER_SRC's")
+    args = parser.parse_args()
+    if args.against:
+        sys.stdout.write(report(args.against))
+        sys.exit(0)
     with tempfile.TemporaryDirectory() as d:
         listing = builds() + run_pipeline(Path(d))
     recorded = GOLDEN.read_text() if GOLDEN.exists() else ""

@@ -273,6 +273,11 @@ def test_error_paths():
         M.rouge_l(["a"], [[]])
     with pytest.raises(ValueError):
         M.DocumentFrequency([])
+    with pytest.raises(ValueError, match="every image needs at least one reference"):
+        M.DocumentFrequency([["a"], []])
+    for n in (0, M.MAX_N + 1):
+        with pytest.raises(ValueError, match="BLEU order"):
+            M.bleu(["a"], [["a"]], n)
     df = M.DocumentFrequency([["a"]])
     df.df.clear()
     with pytest.raises(ValueError):

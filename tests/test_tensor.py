@@ -20,9 +20,9 @@ class FixedRng:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
 
-    def uniform(self, shape):
+    def keep(self, shape, rate):
         assert tuple(shape) == self.values.shape
-        return self.values
+        return self.values >= rate
 
 
 def leaf(rng, *shape):
@@ -299,6 +299,26 @@ def test_masked_rows_cannot_move_the_loss_bits():
         perturbed[mask == 0] = rng.standard_normal((3, 5)) * 100.0
         again = xe_loss(constant(perturbed), ids, mask).data
         assert again == base  # bitwise: masked rows contribute exact zero
+
+
+def test_dropout_attention_and_masked_mse_reject_bad_inputs():
+    x = constant(np.ones((2, 4)))
+    for rate in (-0.1, 1.0):  # rate 1 would scale by 1 / 0
+        with pytest.raises(ValueError, match="dropout rate"):
+            T.dropout(x, rate, FixedRng(np.ones((2, 4))))
+    q = constant(np.ones((3, 4)))
+    for k, v, heads in ((np.ones((5, 3)), np.ones((5, 3)), 2),   # widths differ
+                        (np.ones((5, 4)), np.ones((6, 4)), 2),   # k and v rows differ
+                        (np.ones((5, 4)), np.ones((5, 4)), 3)):  # 4 columns over 3 heads
+        with pytest.raises(ValueError, match="attention needs"):
+            T.attention(q, constant(k), constant(v), heads)
+    a = constant(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        T.masked_mse(a, constant(np.ones((2, 3, 5))), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="mask shape"):
+        T.masked_mse(a, a, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="at least one valid timestep"):
+        T.masked_mse(a, a, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_masked_mse_masked_rows_bit_invariant():

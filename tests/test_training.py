@@ -484,6 +484,19 @@ def test_scst_config_validation():
             tr.ScstConfig(learning_rate=value)
 
 
+def test_a_state_and_both_stages_refuse_what_they_cannot_train():
+    samples, vocab, cfg = tiny_setup()
+    state = tr.TrainState.create(cfg, seed=2)
+    fewer = dict(list(state.target.items())[1:])
+    with pytest.raises(ValueError, match="name sets differ"):
+        tr.TrainState(cfg, state.online, fewer, state.m, state.v)
+    loop = tr.LoopConfig(steps=1, batch_size=1)
+    with pytest.raises(ValueError, match="no training samples"):
+        tr.train_xe(state, [], samples, vocab, loop)
+    with pytest.raises(ValueError, match="no training samples"):
+        tr.train_scst(state, [], samples, vocab, tr.ScstConfig(learning_rate=1e-4), loop)
+
+
 def test_xe_divergence_raises():
     samples, vocab, cfg = tiny_setup()
     state = tr.TrainState.create(cfg, seed=5)
@@ -675,15 +688,16 @@ def test_validation_scores_each_model_under_its_own_name(tmp_path):
     samples, vocab, cfg = tiny_setup(num_images=8)
     train, val = samples[:6], samples[6:]
     log = tmp_path / "log.jsonl"
-    # on this seed and schedule online scores 1.24, target 0
-    state = tr.TrainState.create(cfg, seed=5, momentum=0.5)
+    # at momentum 1 the target keeps its initial weights, so the two models
+    # differ by construction and a swap of their names must show
+    state = tr.TrainState.create(cfg, seed=5, momentum=1.0)
     loop = tr.LoopConfig(steps=30, batch_size=3, warmup=10, val_every=30, val_beam=2,
                          log_path=str(log))
     best = tr.train_xe(state, train, val, vocab, loop)["best"]
     df = DocumentFrequency([s.references for s in val])
     online, target = (tr.validate_cider(params, cfg, val, vocab, 2, df)
                       for params in (state.online, state.target))
-    assert online != target  # a swap of the two models must show
+    assert online != target
     [record] = [r for r in map(json.loads, log.read_text().splitlines()) if "event" in r]
     assert (record["val_cider_online"], record["val_cider_target"]) == (online, target)
     assert (best["cider_online"], best["cider_target"]) == (online, target)
