@@ -197,8 +197,9 @@ def write_features(path, grids) -> None:
     for fg in grids:  # every grid is checked before the file is opened
         if fg.grid.shape != (g, d):
             raise ValueError(f"grid shape {fg.grid.shape} differs from first grid {(g, d)}")
-        if not np.isfinite(fg.grid.astype("<f4", copy=False)).all():  # read_features would refuse it
-            raise ValueError(f"image {fg.image_id} has values beyond the float32 range")
+        with np.errstate(over="ignore"):  # read_features would refuse what overflows
+            if not np.isfinite(fg.grid.astype("<f4", copy=False)).all():
+                raise ValueError(f"image {fg.image_id} has values beyond the float32 range")
     with atomic_write(path) as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, g, d, len(grids)))
         crc = 0

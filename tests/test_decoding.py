@@ -10,10 +10,11 @@ from meancap.tokenizer import BOS_ID, EOS_ID
 
 
 def table_model(rng, vocab, max_length, sharpness=1.0):
-    """Markov toy model: logits depend on (position, previous token)."""
+    """Markov toy model: logits depend on (position, previous token), so it
+    needs no parent rows."""
     table = rng.standard_normal((max_length, vocab, vocab)) * sharpness
 
-    def expand(prefixes):
+    def expand(prefixes, parents=None):
         return np.stack([table[len(p) - 1, p[-1]] for p in prefixes])
 
     return expand
@@ -99,7 +100,7 @@ def test_beam_k1_equals_greedy():
 def test_near_deterministic_model_scores_zero():
     want = [BOS_ID, 4, 3, EOS_ID]
 
-    def expand(prefixes):
+    def expand(prefixes, parents):
         rows = []
         for p in prefixes:
             row = np.full(6, -1000.0)
@@ -110,6 +111,25 @@ def test_near_deterministic_model_scores_zero():
     beam = D.beam_search(expand, k=3, max_length=6)
     assert beam[0].ids == want
     assert abs(beam[0].logprob) < 1e-6
+
+
+def test_each_prefix_extends_its_parent_row_of_the_previous_call():
+    # the contract an incremental decoder's cache relies on, at widths from 1
+    # to past the vocabulary (gate 4's enumeration regime), with beams whose
+    # finished hypotheses sit among the live ones
+    rng = np.random.default_rng(57)
+    for k in range(1, 21):
+        table, calls = table_model(rng, int(rng.integers(4, 7)), 5), []
+
+        def expand(prefixes, parents):
+            calls.append(([list(p) for p in prefixes], parents))
+            return table(prefixes)
+
+        D.beam_search(expand, k=k, max_length=5)
+        assert calls[0] == ([[BOS_ID]], None)
+        for (previous, _), (prefixes, parents) in zip(calls, calls[1:]):
+            assert parents is not None and len(parents) == len(prefixes)
+            assert [p[:-1] for p in prefixes] == [previous[r] for r in parents]
 
 
 def test_retained_logits_rescore_to_logprob():
@@ -147,15 +167,15 @@ def tiny_config(**kw):
     return mdl.ModelConfig(**base)
 
 
-# expand calls in beam order: (BOS, 4) has two children, (BOS, 5) is
-# dropped, and a lone [BOS] starts over
+# expand calls in beam order, with each prefix's row in the previous call:
+# (BOS, 4) has two children, (BOS, 5) is dropped, and a lone [BOS] starts over
 BEAM_ORDER_CALLS = [
-    [[BOS_ID]],
-    [[BOS_ID, 4], [BOS_ID, 5], [BOS_ID, 6]],
-    [[BOS_ID, 4, 7], [BOS_ID, 6, 2], [BOS_ID, 4, 3]],
-    [[BOS_ID, 4, 3, 8], [BOS_ID, 6, 2, 5]],
-    [[BOS_ID]],
-    [[BOS_ID, 8], [BOS_ID, 4]],
+    ([[BOS_ID]], None),
+    ([[BOS_ID, 4], [BOS_ID, 5], [BOS_ID, 6]], [0, 0, 0]),
+    ([[BOS_ID, 4, 7], [BOS_ID, 6, 2], [BOS_ID, 4, 3]], [0, 2, 0]),
+    ([[BOS_ID, 4, 3, 8], [BOS_ID, 6, 2, 5]], [2, 1]),
+    ([[BOS_ID]], None),
+    ([[BOS_ID, 8], [BOS_ID, 4]], [0, 0]),
 ]
 
 
@@ -167,8 +187,9 @@ def test_fast_decoder_matches_slow_path(mesh):
     enc = mdl.encode(rng.standard_normal((4, cfg.feature_dim)), params, cfg)
     slow = D.model_expander(params, cfg, enc)
     fast = FastDecoder(params, cfg, enc)
-    for prefixes in BEAM_ORDER_CALLS:
-        np.testing.assert_allclose(fast.expand(prefixes), slow(prefixes), atol=1e-9)
+    for prefixes, parents in BEAM_ORDER_CALLS:
+        np.testing.assert_allclose(fast.expand(prefixes, parents), slow(prefixes, parents),
+                                   atol=1e-9)
 
 
 @pytest.mark.parametrize("mesh", [False, True], ids=["plain", "mesh"])
@@ -191,24 +212,17 @@ def test_fast_decoder_validates_prefixes():
     params = mdl.init_params(cfg, seed=6, dtype=np.float64)
     enc = mdl.encode(np.zeros((4, cfg.feature_dim)), params, cfg)
     fast = FastDecoder(params, cfg, enc)
-    with pytest.raises(ValueError, match="BOS"):
-        fast.expand([[4, 5]])
-    with pytest.raises(ValueError, match="one length"):
-        fast.expand([[BOS_ID], [BOS_ID, 4]])
     with pytest.raises(ValueError, match="previous call"):
-        fast.expand([[BOS_ID, 4]])  # nothing decoded yet
-    fast.expand([[BOS_ID]])
-    fast.expand([[BOS_ID, 4], [BOS_ID, 5]])
+        fast.expand([[BOS_ID, 4]], [0])  # nothing decoded yet
+    fast.expand([[BOS_ID]], None)
     with pytest.raises(ValueError, match="previous call"):
-        fast.expand([[BOS_ID, 4, 2], [BOS_ID, 6, 2]])
-    with pytest.raises(ValueError, match="previous call"):
-        fast.expand([[BOS_ID, 4]])  # a sibling, not a child
-    prefix = [BOS_ID]
+        fast.expand([[BOS_ID, 4]], None)  # would decode 4 at position 0
+    prefix, parents = [BOS_ID], None
     for _ in range(cfg.max_length):  # the last position is max_length - 1
-        fast.expand([prefix])
-        prefix = prefix + [3]
+        fast.expand([prefix], parents)
+        prefix, parents = prefix + [3], [0]
     with pytest.raises(ValueError, match="max_length"):
-        fast.expand([prefix])
+        fast.expand([prefix], parents)
 
 
 def test_caption_image_end_to_end():

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from meancap import rng as R
 from meancap import tensor as T
 from meancap import training as tr
 from meancap.assignment import BagEmbedder, hungarian, pairing_cost
 from meancap.checkpoint import load_checkpoint
 from meancap.data import caption_corpus, generate_synthetic_dataset, split_dataset
-from meancap.decoding import Hypothesis, beam_search
+from meancap.decoding import Hypothesis, beam_search, caption_image
 from meancap.fastdecode import FastDecoder
 from meancap.metrics import DocumentFrequency, reference_vectors, reward
 from meancap.model import ModelConfig, decode_logits, encode, init_params
@@ -807,16 +808,30 @@ def test_xe_step_is_the_same_with_a_cold_or_a_warm_word_cache():
 # ---------------------------------------------------------------------------
 
 
-def _count_ops(monkeypatch, fn, *args):
-    """Tensor ops (``tensor._result`` calls) made by ``fn(*args)``."""
-    calls = []
-    original = T._result
-    monkeypatch.setattr(T, "_result", lambda *a: calls.append(1) or original(*a))
+def _count_calls(monkeypatch, fn, sites=()):
+    """Tensor ops (``tensor._result`` calls) made by ``fn()``, as "ops", and its
+    calls of each ``(owner, name)`` site: by the name its callers look up, as
+    ``bench/tracing.py`` counts them."""
+    counts = {}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for owner, name, key in [(T, "_result", "ops"), *((o, n, n) for o, n in sites)]:
+        counts[key] = 0
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
     try:
-        fn(*args)
+        fn()
     finally:
         monkeypatch.undo()
-    return len(calls)
+    return counts
+
+
+def _count_ops(monkeypatch, fn, *args):
+    return _count_calls(monkeypatch, lambda: fn(*args))["ops"]
 
 
 def test_op_counts_of_a_beam_expansion_and_an_xe_step(monkeypatch):
@@ -831,9 +846,9 @@ def test_op_counts_of_a_beam_expansion_and_an_xe_step(monkeypatch):
     # the cross-attention memory: (k, v) for 2 decoder x 2 encoder layers
     assert _count_ops(monkeypatch, lambda: made.append(FastDecoder(params, cfg, enc))) == 8
     fast = made[0]
-    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID]]) == 60
-    # a later pass also stacks each layer's cached rows
-    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID, 5], [BOS_ID, 6]]) == 62
+    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID]], None) == 60
+    # a later pass also gathers each layer's cached rows
+    assert _count_ops(monkeypatch, fast.expand, [[BOS_ID, 5], [BOS_ID, 6]], [0, 0]) == 62
 
     samples, vocab, tiny = tiny_setup()
     state = tr.TrainState.create(tiny, seed=1)
@@ -843,6 +858,46 @@ def test_op_counts_of_a_beam_expansion_and_an_xe_step(monkeypatch):
     rng_online.begin_step(1)
     rng_target.begin_step(1)
     assert _count_ops(monkeypatch, tr.xe_step, state, batch, 1e-3, rng_online, rng_target) == 96
+
+
+# The desk counts below are structural: init is keyed by seed and parameter
+# name, so only a code change moves them, and one that does so on purpose
+# updates them here and says so.
+
+
+def _desk_vocab_and_config():
+    vocab = build_vocab(caption_corpus(), 200)
+    return vocab, ModelConfig(vocab_size=len(vocab.tokens))
+
+
+def test_desk_xe_step_makes_its_pinned_counts(monkeypatch):
+    # xe-desk's traced counts per step (bench/run.py --trace 1)
+    vocab, cfg = _desk_vocab_and_config()
+    samples = generate_synthetic_dataset(seed=1, num_images=16)
+    state = tr.TrainState.create(cfg, seed=1, lambda_kd=0.1)
+    batch = [(s.features.grid, tr.sequence_ids(s.references[0], vocab, cfg.max_length))
+             for s in samples]
+    rngs = KeyedRng(1, ROLE_ONLINE), KeyedRng(1, ROLE_TARGET)
+
+    def step():
+        for r in rngs:
+            r.begin_step(1)
+        tr.xe_step(state, batch, 1e-3, *rngs)
+
+    sites = [(R, "generator"), (tr, "encode"), (tr, "decode_logits")]
+    assert _count_calls(monkeypatch, step, sites) == {
+        "ops": 176, "generator": 2, "encode": 2, "decode_logits": 2}
+
+
+def test_fresh_desk_beam_makes_its_pinned_counts(monkeypatch):
+    # one beam-5 caption, as caption-eval makes it: encode, the cross-attention
+    # memory and every expand call of the search
+    _, cfg = _desk_vocab_and_config()
+    fresh = init_params(cfg, 1)
+    grid = np.random.default_rng(0).standard_normal((9, cfg.feature_dim))
+    beam = _count_calls(monkeypatch, lambda: caption_image(fresh, cfg, grid, 5),
+                        [(FastDecoder, "expand")])
+    assert beam == {"ops": 955, "expand": 23}  # a fresh model decodes to max_length
 
 
 def test_op_count_of_an_scst_step(monkeypatch):
