@@ -148,14 +148,20 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def _load(path):
-    """(checkpoint, state, vocabulary) from a checkpoint file; one that
-    cannot be read or rebuilt is a data error."""
+@contextmanager
+def _reading(what=""):
+    """A file that cannot be read, or that its reader refuses, is a data error."""
     try:
+        yield
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DataError(f"{what}{exc}") from exc
+
+
+def _load(path):
+    """(checkpoint, state, vocabulary) from a checkpoint file."""
+    with _reading(f"cannot load checkpoint {path}: "):
         ckpt = load_checkpoint(path)
         return (ckpt, *tr.state_from_checkpoint(ckpt))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
 def _open_out(path):
@@ -170,12 +176,11 @@ def _open_out(path):
 def load_dataset(data_dir):
     """Reassemble the three splits written by gen-data."""
     base = Path(data_dir)
-    try:
+    with _reading(f"cannot load dataset from {data_dir}: "):
         grids = D.read_features(base / "features.bin")
         refs = D.read_captions(base / "captions.jsonl")
+    with _reading(f"cannot load dataset from {data_dir}: split.json: "):
         split = json.loads((base / "split.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load dataset from {data_dir}: {exc}") from exc
     if not isinstance(split, dict):
         raise DataError(f"split.json in {data_dir} must be an object of splits")
     by_id = {g.image_id: g for g in grids}
@@ -271,20 +276,19 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_stage(command: str, cfg: dict, state, started: str, train, source=None,
-                 **loop_keys) -> int:
+                 stage_start=0) -> int:
     """The tail both training commands share: the loop, the run, the manifest."""
     out = Path(cfg["out_dir"])
     with _config_values():
-        loop = tr.LoopConfig(**dict(_fields_of(tr.LoopConfig, cfg), **loop_keys),
+        loop = tr.LoopConfig(**_fields_of(tr.LoopConfig, cfg),
                              log_path=str(out / "train_log.jsonl"), ckpt_dir=str(out))
+    loop.steps += stage_start  # the config's steps count from the stage start
     if loop.val_beam > state.config.vocab_size:
         raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
                           f"{state.config.vocab_size}")
     out.mkdir(parents=True, exist_ok=True)
-    try:  # a log left in out_dir is read before step 1; later ValueErrors are faults
+    with _reading():  # a log left in out_dir is read before step 1; later ValueErrors are faults
         tr.open_log(loop.log_path, state.step).close()
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
     start_step = state.step
     result = train(loop)
     checkpoints = {"last": str(out / "last.ckpt")}
@@ -358,17 +362,15 @@ def cmd_train_scst(args) -> int:
         "train-scst", cfg, state, started,
         lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
                                    best=best),
-        source=args.checkpoint, steps=stage_start + cfg["steps"])
+        source=args.checkpoint, stage_start=stage_start)
 
 
 def cmd_caption(args) -> int:
     started = _now()
     _ckpt, state, vocab = _load(args.checkpoint)
-    try:
+    with _reading():
         grids = D.read_features(args.features)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    if grids and grids[0].grid.shape[1] != state.config.feature_dim:
+    if grids[0].grid.shape[1] != state.config.feature_dim:
         raise DataError(f"{args.features} has {grids[0].grid.shape[1]} features per cell, "
                         f"the model takes {state.config.feature_dim}")
     params = state.online if args.model == "online" else state.target
@@ -395,20 +397,15 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     started = _now()
     candidates, references = [], []
-    try:
+    with _reading():  # a UnicodeError is a ValueError
         refs = D.read_captions(args.references)
         for line_no, image_id, caption in D.read_id_lines(args.candidates, "caption", str):
             if image_id not in refs:
                 raise DataError(f"{args.candidates} line {line_no}: image {image_id} has no references")
             candidates.append(caption)
             references.append(refs[image_id])
-    except ValueError as exc:  # a UnicodeError is a ValueError
-        raise DataError(str(exc)) from exc
     if not candidates:
         raise DataError(f"{args.candidates}: no candidate captions")
-    if not any(metrics.metric_tokens(r) for refs in references for r in refs):
-        raise DataError(f"{args.references}: the scored images' references hold no words, "
-                        f"so CIDEr-D has no corpus")
     with _open_out(args.out) as fh:
         scores = metrics.evaluate_all(candidates, references)
         scores["num_images"] = len(candidates)

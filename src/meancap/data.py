@@ -63,8 +63,8 @@ class CaptionedSample:
     references: list  # raw reference strings
 
     def __post_init__(self):
-        if not self.references or any(not r for r in self.references):
-            raise ValueError(f"image {self.features.image_id} needs non-empty references")
+        if not self.references or any(not r or r.isspace() for r in self.references):
+            raise ValueError(f"image {self.features.image_id} needs non-empty references with words")
 
 
 def pair_code(color: str, obj: str) -> np.ndarray:
@@ -262,5 +262,7 @@ def read_captions(path) -> dict:
     for line_no, image_id, texts in read_id_lines(path, "refs", list):
         if not texts or not all(isinstance(r, str) for r in texts):
             raise ValueError(f"{path} line {line_no} needs refs as a non-empty list of strings")
+        if any(not r or r.isspace() for r in texts):  # where str.split() finds no word
+            raise ValueError(f"{path} line {line_no} has a reference that holds no words")
         refs[image_id] = texts
     return refs

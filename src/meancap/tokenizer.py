@@ -97,11 +97,11 @@ def _merge_word(symbols: tuple, pair: tuple) -> tuple:
 
 
 def build_vocab(corpus, target_size: int) -> Vocabulary:
-    """Learn a subword vocabulary of at most ``target_size`` tokens.
+    """Learn a subword vocabulary: the reserved ids, the symbols, then merges.
 
-    Tokens are the three reserved ids, the corpus character symbols, then
-    one token per learned merge; learning stops when the vocabulary is full
-    or no adjacent pair repeats.
+    The three reserved ids and every corpus character symbol come first, even
+    past ``target_size``; merges follow until ``target_size`` tokens or until no
+    adjacent pair repeats (on the caption grammar: at least 33, at most 117).
     """
     if target_size < 4:
         raise ValueError(f"target size must be at least 4, got {target_size}")

@@ -343,8 +343,9 @@ class LoopConfig:
     ckpt_dir: str = None
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("steps", "val_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("batch_size", "warmup", "val_beam"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

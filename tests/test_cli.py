@@ -239,6 +239,9 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("gen-data", dict(min_objects=3, max_objects=2)),
     ("train-scst", dict(lambda_kd=-0.5)),
     ("train-scst", dict(learning_rate=0.0)),
+    ("train-xe", dict(val_every=-1)),
+    ("train-scst", dict(val_every=-1)),
+    ("train-scst", dict(steps=-1)),
 ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
 def test_out_of_range_config_values_exit_two(overfit_run, tmp_path, capsys, command, values):
     source = []
@@ -373,6 +376,48 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
         assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
     refs.write_text('{"id": 1, "refs": [" "]}\n')  # no reference words: CIDEr-D has no corpus
     assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
+
+
+def _edit_references(data, part, edit):
+    """Rewrite captions.jsonl, the references of each image in split ``part`` as ``edit(refs)``."""
+    ids = set(json.loads((data / "split.json").read_text())[part])
+    rows = [json.loads(line) for line in (data / "captions.jsonl").read_text().splitlines()]
+    (data / "captions.jsonl").write_text("".join(
+        json.dumps({"id": r["id"], "refs": edit(r["refs"]) if r["id"] in ids else r["refs"]}) + "\n"
+        for r in rows))
+
+
+# command, extra config values, and the split whose references are rewritten, and how;
+# the split None nests split.json too deeply instead
+_MALFORMED_DATASETS = {
+    "train-xe-empty-reference": ("train-xe", {}, "train", lambda refs: [""] + refs[1:]),
+    "train-xe-wordless-val-references": ("train-xe", dict(val_every=1), "val",
+                                         lambda refs: [" "] * len(refs)),
+    "train-scst-wordless-train-references": ("train-scst", {}, "train",
+                                             lambda refs: [" \t"] * len(refs)),
+    "train-xe-deep-split": ("train-xe", {}, None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DATASETS))
+def test_a_malformed_dataset_exits_three_before_step_one(overfit_run, tmp_path, capsys, case):
+    command, values, part, edit = _MALFORMED_DATASETS[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(overfit_run / "data", data)
+    if part is None:
+        (data / "split.json").write_text("[" * 100000 + "]" * 100000)
+    else:
+        _edit_references(data, part, edit)
+    if command == "train-xe":
+        kv, source = dict(TINY_MODEL, seed=7, steps=2, batch_size=4), []
+    else:
+        kv, source = dict(steps=1, batch_size=2, beam_size=3), [str(overfit_run / "xe" / "last.ckpt")]
+    cfg = write_cfg(tmp_path / "run.cfg", data_dir=str(data), out_dir=str(out), **kv, **values)
+    assert cli.main([command, cfg] + source) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "data"
+    assert ("split.json" if part is None else "captions.jsonl") in json.loads(err[0])["detail"]
+    assert not (out / "train_log.jsonl").exists() and not (out / "last.ckpt").exists()
 
 
 def _with_unspellable_references(source, target):

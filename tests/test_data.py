@@ -1,7 +1,9 @@
 """Synthetic scenes: determinism, template inversion, feature file format."""
 
 import hashlib
+import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -237,10 +239,38 @@ def test_captions_reject_malformed(tmp_path):
     for line in ['{"id": 1}', "not json", "7", '["a dog"]',
                  '{"id": null, "refs": ["a dog"]}', '{"id": 1.7, "refs": ["a dog"]}',
                  '{"id": true, "refs": ["a dog"]}', '{"id": "1", "refs": ["a dog"]}',
-                 '{"id": 1, "refs": 5}', '{"id": 1, "refs": []}', '{"id": 1, "refs": ["a dog", 3]}']:
+                 '{"id": 1, "refs": 5}', '{"id": 1, "refs": []}', '{"id": 1, "refs": ["a dog", 3]}',
+                 '{"id": 1, "refs": [""]}', '{"id": 1, "refs": ["a dog", " \\t"]}']:
         path.write_text('{"id": 0, "refs": ["a cat"]}\n' + line + "\n")
         with pytest.raises(ValueError, match="line 2"):
             data.read_captions(path)
+
+
+_REFERENCE = st.one_of(st.sampled_from(["", " ", " \t\n", "\u3000", "a dog", " a red ball "]),
+                       st.text(max_size=6), st.integers(), st.none())
+_CAPTION_LINE = st.one_of(
+    st.builds(lambda i, refs: json.dumps({"id": i, "refs": refs}),
+              st.integers(-3, 3), st.lists(_REFERENCE, max_size=3)),
+    st.builds(lambda depth: "[" * depth + "]" * depth, st.sampled_from([1, 10 ** 5])),
+    st.sampled_from(["", "   ", "7", "not json", '{"id": 1}', '{"id": 1.5, "refs": ["a"]}',
+                     '{"id": 1, "refs": "a dog"}']))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CAPTION_LINE, max_size=5))
+def test_read_captions_gives_worded_references_or_a_value_error_naming_a_line(lines):
+    """Any JSON-lines file: every reference read back holds a word, or the
+    reader refuses the file with a ValueError that names a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "caps.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        try:
+            refs = data.read_captions(path)
+        except ValueError as exc:
+            assert re.search(r"line \d+", str(exc)), exc
+            return
+    assert all(r.split() for texts in refs.values() for r in texts)
 
 
 def test_captions_are_read_as_utf8_and_blank_lines_skipped(tmp_path):
@@ -269,7 +299,7 @@ def test_feature_grid_must_be_2d_and_finite(grid, match):
         data.FeatureGrid(3, grid)
 
 
-@pytest.mark.parametrize("references", [[], [""], ["a dog", ""]])
+@pytest.mark.parametrize("references", [[], [""], ["a dog", ""], [" "]])
 def test_captioned_sample_needs_non_empty_references(references):
     with pytest.raises(ValueError, match="non-empty references"):
         data.CaptionedSample(data.FeatureGrid(3, np.zeros((1, 1), np.float32)), references)
