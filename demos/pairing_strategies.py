@@ -32,7 +32,7 @@ BATCH = 4
 
 samples = generate_synthetic_dataset(seed=11, num_images=40, refs_per_image=4, max_objects=3)
 train, val, _ = split_dataset(samples, seed=11, val_fraction=0.2)
-vocab = build_vocab(caption_corpus(), 150)
+vocab = build_vocab(caption_corpus())
 config = mdl.ModelConfig(vocab_size=len(vocab.tokens), model_dim=32,
                          feedforward_dim=64, num_heads=2,
                          num_encoder_layers=1, num_decoder_layers=1,

@@ -28,7 +28,7 @@ print(f"  a reference caption: {train[0].references[0]!r}")
 
 # the vocabulary comes from the closed caption grammar, so it covers every
 # word the synthetic references can produce
-vocab = build_vocab(caption_corpus(), 200)
+vocab = build_vocab(caption_corpus())
 print(f"  vocabulary: {len(vocab.tokens)} subword tokens")
 
 # --- the twin models -------------------------------------------------------

@@ -66,7 +66,7 @@ def _fields_of(fn, cfg: dict) -> dict:
     return {name: cfg[name] for name in inspect.signature(fn).parameters if name in cfg}
 
 
-# the vocabulary and the feature width come from the data
+# the vocabulary comes from the caption grammar, the feature width from the data
 _MODEL_KEYS = {k: spec for k, spec in _field_keys(ModelConfig).items()
                if k not in ("vocab_size", "feature_dim")}
 
@@ -80,7 +80,6 @@ _TRAIN_XE_KEYS = {
     "seed": (int, _REQUIRED),
     "data_dir": (str, _REQUIRED),
     "out_dir": (str, _REQUIRED),
-    "vocab_size": (int, 200),  # the target size of the learned vocabulary
     **_field_keys(tr.LoopConfig, "steps", "batch_size", "warmup", "val_every", "val_beam"),
     **_field_keys(tr.TrainState, "momentum", "lambda_kd"),
     **_MODEL_KEYS,
@@ -275,7 +274,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _train_stage(command: str, cfg: dict, state, started: str, train, source=None,
+def _train_stage(command: str, cfg: dict, state, started: str, splits, train, source=None,
                  stage_start=0) -> int:
     """The tail both training commands share: the loop, the run, the manifest."""
     out = Path(cfg["out_dir"])
@@ -286,6 +285,8 @@ def _train_stage(command: str, cfg: dict, state, started: str, train, source=Non
     if loop.val_beam > state.config.vocab_size:
         raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
                           f"{state.config.vocab_size}")
+    if loop.val_every and not splits["val"]:
+        raise ConfigError(f"val_every {loop.val_every} asks for validation; the val split is empty")
     out.mkdir(parents=True, exist_ok=True)
     with _reading():  # a log left in out_dir is read before step 1; later ValueErrors are faults
         tr.open_log(loop.log_path, state.step).close()
@@ -306,7 +307,7 @@ def cmd_train_xe(args) -> int:
     cfg = parse_config(args.config, _TRAIN_XE_KEYS)
     splits = load_dataset(cfg["data_dir"])
     with _config_values():
-        vocab = build_vocab(D.caption_corpus(), cfg["vocab_size"])
+        vocab = build_vocab(D.caption_corpus())
         # the model's input width is the width of the dataset's features
         model_cfg = ModelConfig(vocab_size=len(vocab.tokens),
                                 feature_dim=splits["train"][0].features.grid.shape[1],
@@ -332,7 +333,7 @@ def cmd_train_xe(args) -> int:
             state = tr.TrainState.create(model_cfg, **_fields_of(tr.TrainState, cfg))
     _check_spelled(splits["train"], vocab)
     return _train_stage(
-        "train-xe", cfg, state, started,
+        "train-xe", cfg, state, started, splits,
         lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best),
         source=args.resume)
 
@@ -359,7 +360,7 @@ def cmd_train_scst(args) -> int:
         best = ckpt.best
     stage_start = state.step - state.adam_t  # see prepare_for_scst
     return _train_stage(
-        "train-scst", cfg, state, started,
+        "train-scst", cfg, state, started, splits,
         lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
                                    best=best),
         source=args.checkpoint, stage_start=stage_start)

@@ -96,14 +96,14 @@ def _merge_word(symbols: tuple, pair: tuple) -> tuple:
     return tuple(merged)
 
 
-def build_vocab(corpus, target_size: int) -> Vocabulary:
+def build_vocab(corpus, target_size: int = None) -> Vocabulary:
     """Learn a subword vocabulary: the reserved ids, the symbols, then merges.
 
-    The three reserved ids and every corpus character symbol come first, even
-    past ``target_size``; merges follow until ``target_size`` tokens or until no
-    adjacent pair repeats (on the caption grammar: at least 33, at most 117).
+    The floor is the three reserved ids plus every corpus symbol, kept even past
+    ``target_size``; merges follow until ``target_size`` tokens or until no adjacent
+    pair repeats.  None learns every merge.  Caption grammar: floor 33, all merges 117.
     """
-    if target_size < 4:
+    if target_size is not None and target_size < 4:
         raise ValueError(f"target size must be at least 4, got {target_size}")
     words = {}
     for line in corpus:
@@ -116,7 +116,7 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
     base = sorted({s for symbols in words for s in symbols})
     tokens = [PAD, BOS, EOS] + base
     merges = []
-    while len(tokens) < target_size:
+    while target_size is None or len(tokens) < target_size:
         counts = _pair_counts(words)
         if not counts:
             break

@@ -44,9 +44,8 @@ def read_manifest(path):
 
 GEN = dict(seed=7, num_images=10, min_objects=1, max_objects=2, refs_per_image=3,
            noise_sigma=0.02, train_fraction=0.8, val_fraction=0.2)
-TINY_MODEL = dict(vocab_size=120, model_dim=32, feedforward_dim=64, num_heads=4,
-                  num_encoder_layers=1, num_decoder_layers=1, num_memory_slots=4,
-                  max_length=24)
+TINY_MODEL = dict(model_dim=32, feedforward_dim=64, num_heads=4, num_encoder_layers=1,
+                  num_decoder_layers=1, num_memory_slots=4, max_length=24)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +214,6 @@ def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, c
     ("train-xe", dict(steps=-1)),
     ("train-xe", dict(val_beam=0)),
     ("train-xe", dict(momentum=1.5)),
-    ("train-xe", dict(vocab_size=3)),
     ("train-xe", dict(num_heads=0)),
     ("train-xe", dict(model_dim=0)),
     ("train-xe", dict(num_encoder_layers=0)),
@@ -376,6 +374,60 @@ def test_missing_and_corrupt_data_exit_three(overfit_run, tmp_path, capsys):
         assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
     refs.write_text('{"id": 1, "refs": [" "]}\n')  # no reference words: CIDEr-D has no corpus
     assert_data_error(["evaluate", str(cands), str(refs), "--out", str(tmp_path / "s.json")])
+
+
+def test_train_xe_learns_the_caption_grammars_whole_vocabulary(overfit_run):
+    _state, vocab = tr.state_from_checkpoint(load_checkpoint(overfit_run / "xe" / "last.ckpt"))
+    assert vocab == build_vocab(caption_corpus()) and len(vocab) == 117
+
+
+@pytest.mark.parametrize("values", [dict(vocab_size=3), dict(vocab_size=200)],
+                         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()))
+def test_unknown_train_xe_keys_exit_two(overfit_run, tmp_path, capsys, values):
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=1, data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "xe"), steps=2, batch_size=4, **TINY_MODEL, **values)
+    assert cli.main(["train-xe", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and f"unknown key {next(iter(values))!r}" in err["detail"]
+    assert not (tmp_path / "xe").exists()
+
+
+def test_resume_names_vocab_size_for_a_checkpoint_with_another_vocabulary(overfit_run, tmp_path,
+                                                                          capsys):
+    vocab = build_vocab(caption_corpus(), 40)
+    config = ModelConfig(vocab_size=len(vocab), feature_dim=32, **TINY_MODEL)
+    ckpt = tmp_path / "small.ckpt"
+    save_checkpoint(ckpt, tr.state_to_checkpoint(tr.TrainState.create(config, seed=7), vocab, "xe"))
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "xe"), steps=2, **TINY_MODEL)
+    assert cli.main(["train-xe", cfg, "--resume", str(ckpt)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["detail"].endswith("disagrees with the given "
+                                                               "config on: vocab_size")
+    assert not (tmp_path / "xe").exists()
+
+
+@pytest.mark.parametrize("command", ["train-xe", "train-scst"])
+def test_val_every_on_an_empty_val_split_exits_two_before_step_one(overfit_run, tmp_path, capsys,
+                                                                   command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    gen = dict(GEN, seed=3, num_images=12, train_fraction=1.0, val_fraction=0.0)
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(data), **gen)]) == 0
+    assert json.loads((data / "split.json").read_text())["val"] == []
+    if command == "train-xe":
+        kv, source = dict(TINY_MODEL, seed=3, steps=2, batch_size=4), []
+    else:
+        kv, source = dict(steps=1, batch_size=2, beam_size=3), [str(overfit_run / "xe" / "last.ckpt")]
+    cfg = write_cfg(tmp_path / "run.cfg", data_dir=str(data), out_dir=str(out), val_every=1, **kv)
+    assert cli.main([command, cfg] + source) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+    assert "val_every" in json.loads(err[0])["detail"]
+    assert not out.exists()
+    # without validation the empty split is no error
+    cfg = write_cfg(tmp_path / "run.cfg", data_dir=str(data), out_dir=str(out), val_every=0, **kv)
+    assert cli.main([command, cfg] + source) == 0
+    assert (out / "last.ckpt").exists() and not (out / "best.ckpt").exists()
 
 
 def _edit_references(data, part, edit):
@@ -672,7 +724,7 @@ KEY_TABLES = {
     },
     "_TRAIN_XE_KEYS": {
         "seed": (int, REQUIRED), "data_dir": (str, REQUIRED), "out_dir": (str, REQUIRED),
-        "steps": (int, REQUIRED), "vocab_size": (int, 200), "batch_size": (int, 16),
+        "steps": (int, REQUIRED), "batch_size": (int, 16),
         "warmup": (int, 1000), "val_every": (int, 0), "val_beam": (int, 5),
         "lambda_kd": (float, 0.1), "momentum": (float, 0.999), "model_dim": (int, 64),
         "feedforward_dim": (int, 256), "num_heads": (int, 4), "num_encoder_layers": (int, 2),

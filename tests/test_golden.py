@@ -1,21 +1,28 @@
 """The pipeline's bits, pinned: gen-data, train-xe, train-scst, caption and
-evaluate run in process through ``cli.main`` on a tiny configuration, and
-each artifact's sha256 must equal the one in ``golden/pipeline.sha256``.
+evaluate run through ``cli.main`` on a tiny configuration, and each
+artifact's sha256 must equal the one in ``golden/pipeline.sha256``.
+
+The pipeline runs in a process of its own with ``OPENBLAS_CORETYPE`` set to
+``CORE``, since float results differ between OpenBLAS kernels: the bits are
+those of one kernel that every AVX2 or AVX-512 x86-64 host can run, not of
+the kernel OpenBLAS would pick for the host.  A host that cannot run it
+fails, and the failure names the kernel.  The rest of the suite runs on the
+host's own kernel.
 
 The listing has the form ``demos/cli_walkthrough.sh`` prints: one
 ``sha256  relative/path`` line per artifact, sorted by path, manifests and
-configs left out.  Its header records the OpenBLAS kernel picked at run time
-and the numpy and BLAS builds it was made with, since float results may
-differ between them; a failure compares the kernel first.  A change that moves
-any bit of training or decoding fails here; when the move is intended,
-rewrite the listing and name the artifacts that changed, which the rewrite
-prints as a diff against the committed listing:
+configs left out.  Its header records the OpenBLAS kernel and the numpy and
+BLAS builds it was made with, since float results may differ between them;
+a failure compares them first.  A change that moves any bit of training or
+decoding fails here; when the move is intended, rewrite the listing and name
+the artifacts that changed, which the rewrite prints as a diff against the
+committed listing:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
 and size each change against another tree's ``src`` directory, which runs the
-pipeline once per tree, each in its own process, and prints a report per
-artifact (it rewrites nothing):
+pipeline once per tree, each in its own process under ``CORE``, and prints a
+report per artifact (it rewrites nothing):
 
     PYTHONPATH=src python3 tests/test_golden.py --against OTHER_SRC
 """
@@ -39,6 +46,9 @@ from meancap import cli
 from meancap.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden" / "pipeline.sha256"
+SRC = Path(cli.__file__).resolve().parents[1]  # the tree under test
+# the OpenBLAS kernel the pipeline runs on; OpenBLAS also maps Zen to it
+CORE = "Haswell"
 
 MODEL = dict(model_dim=16, feedforward_dim=32, num_heads=2, num_encoder_layers=2,
              num_decoder_layers=2, num_memory_slots=2, max_length=20)
@@ -57,9 +67,9 @@ def run_pipeline(work: Path) -> str:
                           max_objects=2, refs_per_image=3, grid_size=3, feature_dim=8)],
         # the mesh, distillation and dropout all on, and one validation
         ["train-xe", _cfg(work / "xe.cfg", seed=5, data_dir=str(data), out_dir=str(work / "xe"),
-                          vocab_size=60, steps=150, batch_size=8, warmup=40, val_every=150,
-                          val_beam=2, mesh_enabled=True, lambda_kd=0.1, dropout_rate=0.1,
-                          momentum=0.9, **MODEL)],
+                          steps=150, batch_size=8, warmup=40, val_every=150, val_beam=2,
+                          mesh_enabled=True, lambda_kd=0.1, dropout_rate=0.1, momentum=0.9,
+                          **MODEL)],
         ["train-scst", _cfg(work / "scst.cfg", data_dir=str(data), out_dir=str(work / "scst"),
                             steps=4, batch_size=3, strategy="hungarian_all", beam_size=3,
                             learning_rate=1e-4),
@@ -97,16 +107,18 @@ def builds() -> str:
             f"# blas {json.dumps(cli._blas(), sort_keys=True)}\n")
 
 
+def _split(listing: str) -> tuple:
+    """The header lines and the artifact lines of a listing."""
+    lines = listing.splitlines(keepends=True)
+    return ([line for line in lines if line.startswith("#")],
+            [line for line in lines if not line.startswith("#")])
+
+
 def test_pipeline_artifacts_match_the_golden_listing(tmp_path):
-    recorded = GOLDEN.read_text().splitlines(keepends=True)
-    header = [line for line in recorded if line.startswith("#")]
-    want = [line for line in recorded if not line.startswith("#")]
-    got = run_pipeline(tmp_path).splitlines(keepends=True)
-    # the kernel first: under another kernel the builds read the same
+    (header, want), (builds_now, got) = _split(GOLDEN.read_text()), _split(run_tree(SRC, tmp_path))
     assert got == want, (
         f"artifact bits differ from {GOLDEN.name}.\n"
-        + "".join(f"recorded {old}this run {new}"
-                  for old, new in zip(header, builds().splitlines(keepends=True)))
+        + "".join(f"recorded {old}this run {new}" for old, new in zip(header, builds_now))
         + "".join(difflib.unified_diff(want, got, "recorded", "this run")))
 
 
@@ -145,12 +157,20 @@ def test_the_bit_change_report_sizes_each_artifact(tmp_path):
 # -- the bit-change report ----------------------------------------------------
 
 
-def run_tree(src: Path, work: Path) -> None:
-    """Run the pipeline under ``work`` in a new process importing meancap from ``src``."""
-    code = "import sys, pathlib, test_golden; test_golden.run_pipeline(pathlib.Path(sys.argv[1]))"
+def run_tree(src: Path, work: Path) -> str:
+    """Run the pipeline under ``work`` in a new process that imports meancap
+    from ``src`` and runs OpenBLAS on ``CORE``; returns the builds header and
+    the artifact listing."""
+    code = ("import sys, pathlib, test_golden; sys.stdout.write(test_golden.builds()"
+            " + test_golden.run_pipeline(pathlib.Path(sys.argv[1])))")
     path = os.pathsep.join([str(src.resolve()), str(Path(__file__).parent)])
-    subprocess.run([sys.executable, "-c", code, str(work)], check=True,
-                   stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=path))
+    run = subprocess.run([sys.executable, "-c", code, str(work)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=CORE))
+    assert run.returncode == 0, (f"the pipeline under OpenBLAS core {CORE} exited "
+                                 f"{run.returncode}:\n{run.stderr}")
+    core = run.stdout.partition("\n")[0]
+    assert core == f"# openblas core {CORE}", f"this host did not run OpenBLAS core {CORE}: {core}"
+    return run.stdout
 
 
 def _sizes(old: np.ndarray, new: np.ndarray) -> str:
@@ -240,7 +260,7 @@ def compare(old: Path, new: Path) -> str:
 def report(other_src: Path) -> str:
     with tempfile.TemporaryDirectory() as d:
         old, new = Path(d, "other"), Path(d, "this")
-        for src, work in ((other_src, old), (Path(__file__).parents[1] / "src", new)):
+        for src, work in ((other_src, old), (SRC, new)):
             work.mkdir()
             run_tree(src, work)
         return compare(old, new)
@@ -255,7 +275,7 @@ if __name__ == "__main__":
         sys.stdout.write(report(args.against))
         sys.exit(0)
     with tempfile.TemporaryDirectory() as d:
-        listing = builds() + run_pipeline(Path(d))
+        listing = run_tree(SRC, Path(d))
     recorded = GOLDEN.read_text() if GOLDEN.exists() else ""
     diff = list(difflib.unified_diff(recorded.splitlines(keepends=True),
                                      listing.splitlines(keepends=True), "recorded", "this run", n=0))

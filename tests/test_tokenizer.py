@@ -44,6 +44,13 @@ def test_empty_corpus_rejected():
         tok.build_vocab(["a"], 3)
 
 
+def test_no_target_learns_every_merge_and_a_small_target_keeps_the_floor():
+    corpus = caption_corpus()
+    assert tok.build_vocab(corpus) == tok.build_vocab(corpus, 200)
+    assert len(tok.build_vocab(corpus)) == 117
+    assert len(tok.build_vocab(corpus, 10)) == 33  # 3 reserved tokens and 30 symbols
+
+
 def test_round_trip_on_caption_corpus():
     corpus = caption_corpus()
     vocab = tok.build_vocab(corpus, 200)
