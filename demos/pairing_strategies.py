@@ -72,9 +72,7 @@ for strategy in tr.PAIRING_STRATEGIES:
           f"{last['baseline']:14.3f}  {kd_mean:8.3f}")
 
 print("\nreward_mean is the average top-of-beam CIDEr-D; baseline is the "
-      "average over whole\nbeams; kd is the masked squared logit gap of the "
-      "paired hypotheses.  On a desk\nthis small the reward column converges "
-      "the same way for every strategy -- the\npairing choice shows up in the "
-      "distillation channel, where averaging over the\nbeam ('all', "
-      "'hungarian_all') keeps a larger teaching signal than the single\n"
-      "best pair.")
+      "average over whole\nbeams; kd mean is the masked squared logit gap of "
+      "the paired hypotheses,\naveraged over the steps.  This is one seed and "
+      f"{SCST_STEPS} steps per strategy: the table\nshows how each run went, "
+      "not whether one strategy beats another.")

@@ -18,7 +18,6 @@ and exit 2 (config), 3 (data), or 4 (numeric failure).
 """
 
 import argparse
-import dataclasses
 import inspect
 import json
 import math
@@ -96,19 +95,19 @@ _TRAIN_SCST_KEYS = {
 
 
 def parse_config(path, keyspec: dict) -> dict:
-    """Read ``key = value`` lines; values use JSON syntax; keys are closed."""
+    """Read ``key = value`` lines with closed keys: a value is one JSON value and
+    an optional ``#`` comment, or else a bare word up to the first ``#``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw.split("#", 1)[0].strip():
             continue
-        if "=" not in line:
+        key, eq, value = raw.partition("=")
+        if "#" in key or not eq:
             raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in keyspec:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
@@ -116,11 +115,13 @@ def parse_config(path, keyspec: dict) -> dict:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
         want, _default = keyspec[key]
         try:
-            parsed = json.loads(value)
+            parsed, end = json.JSONDecoder().raw_decode(value)
+        except ValueError:  # not JSON, or an integer too long to convert
+            end = None
         except RecursionError:
             raise ConfigError(f"{path}:{line_no}: {key} nests too deeply") from None
-        except ValueError:  # not JSON, or an integer too long to convert
-            parsed = value  # bare strings are fine for str keys
+        if end is None or value[end:].lstrip()[:1] not in ("", "#"):
+            parsed = value.split("#", 1)[0].strip()  # bare strings are fine for str keys
         if not json_is(parsed, want):
             if want is int and isinstance(parsed, bool):
                 raise ConfigError(f"{path}:{line_no}: {key} must be an integer")
@@ -128,7 +129,7 @@ def parse_config(path, keyspec: dict) -> dict:
         if want is float and isinstance(parsed, int):
             parsed = float(str(parsed))  # past the float range: inf, not OverflowError
         if isinstance(parsed, float) and not math.isfinite(parsed):
-            raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {value}")
+            raise ConfigError(f"{path}:{line_no}: {key} must be finite, got {parsed}")
         out[key] = parsed
     for key, (_want, default) in keyspec.items():
         if key not in out:
@@ -213,6 +214,19 @@ def _check_spelled(samples, vocab) -> None:
                 raise DataError(f"image {s.features.image_id}: {word!r} is not in the vocabulary")
 
 
+def _check_width(data, grid, ckpt_path, config: ModelConfig) -> None:
+    """Features of a width the checkpoint's model does not take are a data error."""
+    if grid.shape[1] != config.feature_dim:
+        raise DataError(f"{data} has {grid.shape[1]}-wide features; "
+                        f"checkpoint {ckpt_path} takes {config.feature_dim}")
+
+
+def _check_beam(name: str, k: int, config: ModelConfig) -> None:
+    """A beam keeps 1 to vocabulary-size hypotheses: the first step has no more."""
+    if not 1 <= k <= config.vocab_size:
+        raise ConfigError(f"{name} {k} must lie in 1..{config.vocab_size}, the vocabulary size")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -282,9 +296,7 @@ def _train_stage(command: str, cfg: dict, state, started: str, splits, train, so
         loop = tr.LoopConfig(**_fields_of(tr.LoopConfig, cfg),
                              log_path=str(out / "train_log.jsonl"), ckpt_dir=str(out))
     loop.steps += stage_start  # the config's steps count from the stage start
-    if loop.val_beam > state.config.vocab_size:
-        raise ConfigError(f"val_beam {loop.val_beam} exceeds vocabulary size "
-                          f"{state.config.vocab_size}")
+    _check_beam("val_beam", loop.val_beam, state.config)
     if loop.val_every and not splits["val"]:
         raise ConfigError(f"val_every {loop.val_every} asks for validation; the val split is empty")
     out.mkdir(parents=True, exist_ok=True)
@@ -306,30 +318,31 @@ def cmd_train_xe(args) -> int:
     started = _now()
     cfg = parse_config(args.config, _TRAIN_XE_KEYS)
     splits = load_dataset(cfg["data_dir"])
-    with _config_values():
-        vocab = build_vocab(D.caption_corpus())
-        # the model's input width is the width of the dataset's features
-        model_cfg = ModelConfig(vocab_size=len(vocab.tokens),
-                                feature_dim=splits["train"][0].features.grid.shape[1],
-                                **{k: cfg[k] for k in _MODEL_KEYS})
+    grid = splits["train"][0].features.grid
+    vocab = build_vocab(D.caption_corpus())
     best = None
     if args.resume:
-        ckpt, state, vocab = _load(args.resume)
+        ckpt, state, ckpt_vocab = _load(args.resume)
         if ckpt.stage != "xe":
             raise ConfigError(f"--resume expects an xe-stage checkpoint, got stage {ckpt.stage!r}")
-        want = dataclasses.asdict(model_cfg)
-        diff = sorted(k for k in set(ckpt.config) | set(want) if ckpt.config.get(k) != want.get(k))
+        _check_width(cfg["data_dir"], grid, args.resume, state.config)
+        # the model and state come from the checkpoint, so every key the
+        # config can set, and the vocabulary, must match it
+        held = {**{k: getattr(state.config, k) for k in _MODEL_KEYS},
+                **{k: getattr(state, k) for k in ("momentum", "lambda_kd", "seed")}}
+        diff = [f"{k} (checkpoint {v}, config {cfg[k]})" for k, v in held.items() if v != cfg[k]]
+        if ckpt_vocab != vocab:
+            diff.append(f"the vocabulary (checkpoint {len(ckpt_vocab)} tokens, "
+                        f"the caption grammar's {len(vocab)})")
         if diff:
-            raise ConfigError(f"checkpoint {args.resume} config disagrees with the given "
-                              f"config on: {', '.join(diff)}")
-        # the state comes from the checkpoint, so a config that asks for
-        # other training values would be silently ignored
-        for key, value in _fields_of(tr.TrainState, cfg).items():
-            if getattr(state, key) != value:
-                raise ConfigError(f"checkpoint {key} {getattr(state, key)} != config {key} {value}")
+            raise ConfigError(f"checkpoint {args.resume} disagrees with the config on: "
+                              + ", ".join(diff))
         best = ckpt.best
     else:
         with _config_values():
+            # the model's input width is the width of the dataset's features
+            model_cfg = ModelConfig(vocab_size=len(vocab.tokens), feature_dim=grid.shape[1],
+                                    **{k: cfg[k] for k in _MODEL_KEYS})
             state = tr.TrainState.create(model_cfg, **_fields_of(tr.TrainState, cfg))
     _check_spelled(splits["train"], vocab)
     return _train_stage(
@@ -346,17 +359,14 @@ def cmd_train_scst(args) -> int:
     splits = load_dataset(cfg["data_dir"])
     ckpt, state, vocab = _load(args.checkpoint)
     _check_spelled(splits["train"], vocab)
-    width = splits["train"][0].features.grid.shape[1]
-    if width != state.config.feature_dim:
-        raise DataError(f"{cfg['data_dir']} has {width}-wide features; "
-                        f"checkpoint {args.checkpoint} takes {state.config.feature_dim}")
+    _check_width(cfg["data_dir"], splits["train"][0].features.grid, args.checkpoint, state.config)
     with _config_values():
         scst = tr.ScstConfig(**_fields_of(tr.ScstConfig, cfg))
+    _check_beam("beam_size", scst.beam_size, state.config)
     if ckpt.stage == "xe":
         tr.prepare_for_scst(state, scst)
         best = None  # XE-stage validation scores are not comparable
     else:
-        state.lambda_kd = scst.lambda_kd
         best = ckpt.best
     stage_start = state.step - state.adam_t  # see prepare_for_scst
     return _train_stage(
@@ -371,14 +381,9 @@ def cmd_caption(args) -> int:
     _ckpt, state, vocab = _load(args.checkpoint)
     with _reading():
         grids = D.read_features(args.features)
-    if grids[0].grid.shape[1] != state.config.feature_dim:
-        raise DataError(f"{args.features} has {grids[0].grid.shape[1]} features per cell, "
-                        f"the model takes {state.config.feature_dim}")
+    _check_width(args.features, grids[0].grid, args.checkpoint, state.config)
+    _check_beam("--beam", args.beam, state.config)
     params = state.online if args.model == "online" else state.target
-    if args.beam < 1:
-        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
-    if args.beam > state.config.vocab_size:
-        raise ConfigError(f"beam width {args.beam} exceeds vocabulary size {state.config.vocab_size}")
     with _open_out(args.out) as fh:
         for grid in grids:
             top = caption_image(params, state.config, grid.grid, args.beam)[0]

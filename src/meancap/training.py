@@ -476,12 +476,12 @@ def prepare_for_scst(state: TrainState, scst: ScstConfig) -> None:
     """Stage transition: fresh optimizer moments for the new objective.
 
     Only this resets ``adam_t`` and only ``_update`` advances it, together
-    with ``step``, so an SCST stage began at ``step - adam_t``.
+    with ``step``, so an SCST stage began at ``step - adam_t``.  The stage's
+    ``scst.lambda_kd`` is recorded by ``train_scst``, which trains with it.
     """
     state.adam_t = 0
     state.m = {n: np.zeros_like(a) for n, a in state.m.items()}
     state.v = {n: np.zeros_like(a) for n, a in state.v.items()}
-    state.lambda_kd = scst.lambda_kd
 
 
 def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabulary,
@@ -559,6 +559,7 @@ def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
     training references, validation uses the held-out ones."""
     if not train_samples:
         raise ValueError("no training samples")
+    state.lambda_kd = scst.lambda_kd  # so the stage's checkpoints name the weight it used
     df = metrics.DocumentFrequency([s.references for s in train_samples])
     embedder = BagEmbedder.from_corpus(
         [tokenize(r, vocab).ids for s in train_samples for r in s.references],

@@ -189,6 +189,26 @@ def test_train_xe_takes_feature_dim_from_the_data(tmp_path):
     assert load_checkpoint(tmp_path / "xe" / "last.ckpt").config["feature_dim"] == 16
 
 
+@pytest.mark.parametrize("command", ["caption", "train-scst", "train-xe --resume"])
+def test_features_of_another_width_exit_three_with_one_message(overfit_run, tmp_path, capsys,
+                                                              command):
+    narrow, out = tmp_path / "narrow", tmp_path / "out"
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(narrow),
+                                           feature_dim=16, **GEN)]) == 0
+    ckpt = str(overfit_run / "xe" / "last.ckpt")
+    data = str(narrow / "features.bin") if command == "caption" else str(narrow)
+    argv = {"caption": ["caption", ckpt, data, "--out", str(out)],
+            "train-scst": ["train-scst", write_cfg(tmp_path / "scst.cfg", data_dir=data,
+                                                   out_dir=str(out), steps=1), ckpt],
+            "train-xe --resume": ["train-xe", write_cfg(tmp_path / "xe.cfg", seed=7, data_dir=data,
+                                                        out_dir=str(out), steps=401, **TINY_MODEL),
+                                  "--resume", ckpt]}[command]
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "data", "detail": f"{data} has 16-wide features; checkpoint {ckpt} takes 32"}
+    assert not out.exists()
+
+
 def test_train_scst_takes_the_model_from_its_checkpoint(overfit_run, tmp_path, capsys):
     ckpt = str(overfit_run / "xe" / "last.ckpt")
     cfg = write_cfg(tmp_path / "scst.cfg", data_dir=str(overfit_run / "data"),
@@ -266,6 +286,25 @@ def test_caption_rejects_oversized_beam(overfit_run, tmp_path, capsys):
                          "--beam", beam, "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert out.read_text() == "earlier captions\n"  # refused before --out is opened
+
+
+@pytest.mark.parametrize("command, key, k", [
+    ("caption", "--beam", 0), ("caption", "--beam", 4000), ("train-xe", "val_beam", 1000),
+    ("train-scst", "val_beam", 118), ("train-scst", "beam_size", 500)])
+def test_every_beam_width_meets_one_vocabulary_rule(overfit_run, tmp_path, capsys, command, key, k):
+    ckpt, out = str(overfit_run / "xe" / "last.ckpt"), tmp_path / "out"
+    if command == "caption":
+        argv = [command, ckpt, str(overfit_run / "data" / "features.bin"), "--beam", str(k),
+                "--out", str(out)]
+    else:
+        kv = dict(TINY_MODEL, seed=1, batch_size=4) if command == "train-xe" else {}
+        argv = [command, write_cfg(tmp_path / "run.cfg", data_dir=str(overfit_run / "data"),
+                                   out_dir=str(out), steps=1, val_every=1, **{key: k}, **kv)]
+        argv += [ckpt] if command == "train-scst" else []
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "detail": f"{key} {k} must lie in 1..117, the vocabulary size"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("keys", [{"best": {}}, {"best": {"cider_target": "0.9"}},
@@ -392,8 +431,7 @@ def test_unknown_train_xe_keys_exit_two(overfit_run, tmp_path, capsys, values):
     assert not (tmp_path / "xe").exists()
 
 
-def test_resume_names_vocab_size_for_a_checkpoint_with_another_vocabulary(overfit_run, tmp_path,
-                                                                          capsys):
+def test_resume_names_another_vocabulary_by_its_token_counts(overfit_run, tmp_path, capsys):
     vocab = build_vocab(caption_corpus(), 40)
     config = ModelConfig(vocab_size=len(vocab), feature_dim=32, **TINY_MODEL)
     ckpt = tmp_path / "small.ckpt"
@@ -402,8 +440,22 @@ def test_resume_names_vocab_size_for_a_checkpoint_with_another_vocabulary(overfi
                     out_dir=str(tmp_path / "xe"), steps=2, **TINY_MODEL)
     assert cli.main(["train-xe", cfg, "--resume", str(ckpt)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config" and err["detail"].endswith("disagrees with the given "
-                                                               "config on: vocab_size")
+    assert err["error"] == "config" and err["detail"].endswith(
+        "disagrees with the config on: the vocabulary (checkpoint 40 tokens, "
+        "the caption grammar's 117)")
+    assert not (tmp_path / "xe").exists()
+
+
+def test_resume_names_every_mismatch_in_one_message(overfit_run, tmp_path, capsys):
+    last = overfit_run / "xe" / "last.ckpt"
+    cfg = write_cfg(tmp_path / "xe.cfg", seed=8, data_dir=str(overfit_run / "data"),
+                    out_dir=str(tmp_path / "xe"), steps=401, momentum=0.5,
+                    **{**TINY_MODEL, "model_dim": 16})
+    assert cli.main(["train-xe", cfg, "--resume", str(last)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0]) == {"error": "config", "detail": (
+        f"checkpoint {last} disagrees with the config on: model_dim (checkpoint 32, config 16), "
+        "momentum (checkpoint 0.999, config 0.5), seed (checkpoint 7, config 8)")}
     assert not (tmp_path / "xe").exists()
 
 
@@ -685,10 +737,18 @@ def test_a_value_of_the_wrong_json_type_exits_two(tmp_path, capsys, value):
 
 def test_config_parser_details(tmp_path):
     p = tmp_path / "c.cfg"
-    p.write_text("seed = 1  # comment\n\nout_dir = plain/path\n")
+    p.write_text("seed = 1  # comment\n\nout_dir = plain/path # c\n  # out_dir = other\n")
     cfg = cli.parse_config(p, cli._GEN_DATA_KEYS)
     assert cfg["seed"] == 1 and cfg["out_dir"] == "plain/path"
     assert cfg["num_images"] == 200  # default filled in
+
+    # a bare word that opens with a JSON number is still one bare word
+    p.write_text("seed = 1\nout_dir = 2024runs/x\n")
+    assert cli.parse_config(p, cli._GEN_DATA_KEYS)["out_dir"] == "2024runs/x"
+
+    # a "#" inside a quoted value is part of it; only what follows the value is a comment
+    p.write_text('seed = 1\nout_dir = "runs/run#1/data"  # a comment\n')
+    assert cli.parse_config(p, cli._GEN_DATA_KEYS)["out_dir"] == "runs/run#1/data"
 
     p.write_text("seed = 1\nseed = 2\nout_dir = d\n")
     with pytest.raises(cli.ConfigError, match="duplicate"):
@@ -709,6 +769,15 @@ def test_config_parser_details(tmp_path):
             cli.parse_config(p, cli._GEN_DATA_KEYS)
     p.write_text("seed = 1\nout_dir = d\nnoise_sigma = 0\n")
     assert cli.parse_config(p, cli._GEN_DATA_KEYS)["noise_sigma"] == 0.0
+
+
+def test_gen_data_writes_under_an_out_dir_with_a_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a cut value would be a path relative to here
+    out = tmp_path / "run#1" / "data"
+    assert cli.main(["gen-data", write_cfg(tmp_path / "gen.cfg", out_dir=str(out), **GEN)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["captions.jsonl", "features.bin",
+                                                     "manifest.json", "split.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.cfg", "run#1"]
 
 
 REQUIRED = "required"
@@ -823,10 +892,12 @@ def test_caption_of_damaged_files_exits_three(tiny_files, data, name):
     _assert_reported(*_run_cli(files, _CAPTION))
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 2 ** 70) | st.text(max_size=4)
-                     | st.floats(-4.0, 4.0) | st.just(math.nan),
-                     lambda inner: st.lists(inner, max_size=3)
-                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+                     | st.floats(-4.0, 4.0) | st.just(math.nan), _json_containers, max_leaves=6)
 
 
 def _header(content: bytes) -> dict:

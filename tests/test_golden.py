@@ -34,6 +34,8 @@ import glob
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -152,6 +154,33 @@ def test_the_bit_change_report_sizes_each_artifact(tmp_path):
         "  val_cider_online: 1 of 3 records differ, steps 2..2, max |d| 0.5",
         "  xe_loss: 1 of 3 records differ, steps 2..2, max |d| 0.5",
     ]
+
+
+def test_against_names_what_a_one_ulp_momentum_change_moves(tmp_path):
+    """``--against`` a copy of this tree whose EMA momentum is one float32 ulp
+    higher (the target's parameters are float32): every trained artifact
+    changes, the data does not."""
+    other = tmp_path / "src"
+    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
+    training = other / "meancap" / "training.py"
+    text = training.read_text()
+    snippet = "t_p.data = momentum * t_p.data + (1.0 - momentum) * online[name].data"
+    assert text.count(snippet) == 1
+    training.write_text(text.replace(snippet, (
+        "m = np.nextafter(momentum, 1.0, dtype=t_p.data.dtype)\n"
+        "            t_p.data = m * t_p.data + (1.0 - m) * online[name].data")))
+    run = subprocess.run([sys.executable, __file__, "--against", str(other)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert run.returncode == 0, run.stderr
+    status = dict(line.split(": ") for line in run.stdout.splitlines() if not line.startswith(" "))
+    assert status == {name: "unchanged" if name.startswith("data/") else "changed"
+                      for name in ("captions.jsonl", "data/captions.jsonl", "data/features.bin",
+                                   "data/split.json", "scores.json", "scst/last.ckpt",
+                                   "scst/train_log.jsonl", "xe/best.ckpt", "xe/last.ckpt",
+                                   "xe/train_log.jsonl")}, run.stdout
+    # and each change is sized on the lines under its name
+    assert re.findall(r"^(\S+): changed\n  \S", run.stdout, re.M) == [
+        name for name, how in status.items() if how == "changed"]
 
 
 # -- the bit-change report ----------------------------------------------------

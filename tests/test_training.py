@@ -728,12 +728,24 @@ def test_prepare_for_scst_resets_optimizer():
     state = tr.TrainState.create(cfg, seed=8)
     tr.train_xe(state, samples, [], vocab, tr.LoopConfig(steps=2, batch_size=2, warmup=50))
     assert state.adam_t == 2 and any(state.m[n].any() for n in state.m)
-    tr.prepare_for_scst(state, tr.ScstConfig(lambda_kd=0.25))
+    tr.prepare_for_scst(state, tr.ScstConfig())
     assert state.adam_t == 0
     assert not any(state.m[n].any() for n in state.m)
     assert not any(state.v[n].any() for n in state.v)
-    assert state.lambda_kd == 0.25
     assert state.step == 2  # the global step keeps counting across stages
+
+
+def test_train_scst_records_the_weight_it_trains_with(tmp_path):
+    samples, vocab, cfg = tiny_setup()
+    state = tr.TrainState.create(cfg, seed=8, lambda_kd=0.1)
+    tr.train_xe(state, samples, [], vocab, tr.LoopConfig(steps=2, batch_size=2, warmup=50))
+    tr.prepare_for_scst(state, tr.ScstConfig())
+    for lambda_kd, steps in ((0.25, 3), (0.5, 4)):  # a stage, then its continuation
+        scst = tr.ScstConfig(beam_size=2, learning_rate=1e-4, lambda_kd=lambda_kd)
+        tr.train_scst(state, samples, [], vocab, scst,
+                      tr.LoopConfig(steps=steps, batch_size=2, ckpt_dir=str(tmp_path)))
+        assert state.lambda_kd == load_checkpoint(tmp_path / "last.ckpt").lambda_kd == lambda_kd
+        state, _ = tr.state_from_checkpoint(load_checkpoint(tmp_path / "last.ckpt"))
 
 
 def test_states_rebuilt_from_one_checkpoint_never_write_its_arrays():
