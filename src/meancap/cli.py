@@ -184,7 +184,7 @@ def load_dataset(data_dir):
     if not isinstance(split, dict):
         raise DataError(f"split.json in {data_dir} must be an object of splits")
     by_id = {g.image_id: g for g in grids}
-    out = {}
+    out, listed = {}, {}  # image id -> the split that lists it
     for name in ("train", "val", "test"):
         ids = split.get(name)
         if ids is None:
@@ -193,6 +193,9 @@ def load_dataset(data_dir):
             raise DataError(f"split {name} in split.json must be a list of integer image ids")
         samples = []
         for i in ids:
+            if i in listed:
+                raise DataError(f"split.json lists image {i} in {listed[i]} and again in {name}")
+            listed[i] = name
             if i not in by_id:
                 raise DataError(f"split {name} references image {i} missing from features.bin")
             if i not in refs:
@@ -305,7 +308,7 @@ def _train_stage(command: str, cfg: dict, state, started: str, splits, train, so
     start_step = state.step
     result = train(loop)
     checkpoints = {"last": str(out / "last.ckpt")}
-    if result["best"] is not None:
+    if state.best is not None:
         checkpoints["best"] = str(out / "best.ckpt")
     if source is not None:
         checkpoints["source"] = source
@@ -320,7 +323,6 @@ def cmd_train_xe(args) -> int:
     splits = load_dataset(cfg["data_dir"])
     grid = splits["train"][0].features.grid
     vocab = build_vocab(D.caption_corpus())
-    best = None
     if args.resume:
         ckpt, state, ckpt_vocab = _load(args.resume)
         if ckpt.stage != "xe":
@@ -337,7 +339,6 @@ def cmd_train_xe(args) -> int:
         if diff:
             raise ConfigError(f"checkpoint {args.resume} disagrees with the config on: "
                               + ", ".join(diff))
-        best = ckpt.best
     else:
         with _config_values():
             # the model's input width is the width of the dataset's features
@@ -347,7 +348,7 @@ def cmd_train_xe(args) -> int:
     _check_spelled(splits["train"], vocab)
     return _train_stage(
         "train-xe", cfg, state, started, splits,
-        lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop, best=best),
+        lambda loop: tr.train_xe(state, splits["train"], splits["val"], vocab, loop),
         source=args.resume)
 
 
@@ -365,14 +366,10 @@ def cmd_train_scst(args) -> int:
     _check_beam("beam_size", scst.beam_size, state.config)
     if ckpt.stage == "xe":
         tr.prepare_for_scst(state, scst)
-        best = None  # XE-stage validation scores are not comparable
-    else:
-        best = ckpt.best
     stage_start = state.step - state.adam_t  # see prepare_for_scst
     return _train_stage(
         "train-scst", cfg, state, started, splits,
-        lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop,
-                                   best=best),
+        lambda loop: tr.train_scst(state, splits["train"], splits["val"], vocab, scst, loop),
         source=args.checkpoint, stage_start=stage_start)
 
 

@@ -194,7 +194,10 @@ def write_features(path, grids) -> None:
     if 0 in (g, d):
         raise ValueError(f"feature grids of {g} x {d} are empty")
     ids = struct.pack(f"<{len(grids)}Q", *(fg.image_id for fg in grids))
-    for fg in grids:  # every grid is checked before the file is opened
+    first = {}  # image id -> its grid's place
+    for n, fg in enumerate(grids):  # every grid is checked before the file is opened
+        if first.setdefault(fg.image_id, n) != n:  # read_features would refuse it
+            raise ValueError(f"image {fg.image_id} has two grids")
         if fg.grid.shape != (g, d):
             raise ValueError(f"grid shape {fg.grid.shape} differs from first grid {(g, d)}")
         with np.errstate(over="ignore"):  # read_features would refuse what overflows
@@ -227,11 +230,13 @@ def read_features(path) -> list:
             raise ValueError(f"truncated feature file: expected {expected} bytes, got {size}")
         check_crc(fh, size - _HEADER.size - 4)
         fh.seek(_HEADER.size)
-        grids = []
+        grids = {}
         for _ in range(count):
             (image_id,) = struct.unpack("<Q", fh.read(8))
-            grids.append(FeatureGrid(image_id, read_array(fh, "<f4", (g, d))))
-    return grids
+            if image_id in grids:
+                raise ValueError(f"feature file {path} holds image {image_id} twice")
+            grids[image_id] = FeatureGrid(image_id, read_array(fh, "<f4", (g, d)))
+    return list(grids.values())
 
 
 def write_captions(path, samples) -> None:
@@ -242,7 +247,9 @@ def write_captions(path, samples) -> None:
 
 def read_id_lines(path, key: str, kind: type):
     """(line number, id, value) of each non-blank line of a UTF-8 JSON-lines
-    file of ``{"id": int, key: kind}`` objects; any other line is a ValueError."""
+    file of ``{"id": int, key: kind}`` objects; any other line, or an id seen
+    on an earlier line, is a ValueError."""
+    seen = {}  # id -> its line
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -254,6 +261,9 @@ def read_id_lines(path, key: str, kind: type):
             if not (isinstance(row, dict) and json_is(row.get("id"), int) and json_is(row.get(key), kind)):
                 raise ValueError(f"{path} line {line_no} needs an object with an integer id "
                                  f"and {key} as {kind.__name__}")
+            if seen.setdefault(row["id"], line_no) != line_no:
+                raise ValueError(f"{path} line {line_no} repeats image {row['id']}, "
+                                 f"first on line {seen[row['id']]}")
             yield line_no, row["id"], row[key]
 
 

@@ -400,17 +400,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Ten
 
 
 # ---------------------------------------------------------------------------
-# reductions and fused losses
+# fused losses
 # ---------------------------------------------------------------------------
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def bw(g, va):
-        va.accumulate_grad(np.broadcast_to(g, va.shape).copy())
-
-    return _result(out, (a,), bw)
 
 
 def _row_log_softmax(data: np.ndarray):

@@ -83,6 +83,7 @@ class TrainState:
     momentum: float = 0.999
     lambda_kd: float = 0.1
     seed: int = 0
+    best: dict = None  # the best validation score of this stage, saved as best.ckpt
 
     def __post_init__(self):
         if set(self.online) != set(self.target):
@@ -408,14 +409,13 @@ def _append_log(fh, record: dict) -> None:
         fh.flush()
 
 
-# the counters TrainState and Checkpoint both hold, under the same names;
-# config, the other shared field, converts between ModelConfig and dict
+# the counters and best score TrainState and Checkpoint both hold, under the
+# same names; config, the other shared field, converts between ModelConfig and dict
 _SHARED = [f.name for f in fields(TrainState)
            if f.name != "config" and f.name in {c.name for c in fields(Checkpoint)}]
 
 
-def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
-                        best: dict = None) -> Checkpoint:
+def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str) -> Checkpoint:
     return Checkpoint(
         config=asdict(state.config),
         vocab={"tokens": list(vocab.tokens), "merges": [list(m) for m in vocab.merges]},
@@ -426,7 +426,6 @@ def state_to_checkpoint(state: TrainState, vocab: Vocabulary, stage: str,
             "adam_m": dict(state.m),
             "adam_v": dict(state.v),
         },
-        best=best,
         **{name: getattr(state, name) for name in _SHARED},
     )
 
@@ -473,33 +472,35 @@ def state_from_checkpoint(ckpt: Checkpoint):
 
 
 def prepare_for_scst(state: TrainState, scst: ScstConfig) -> None:
-    """Stage transition: fresh optimizer moments for the new objective.
+    """Stage transition: fresh optimizer moments for the new objective, and
+    no best score, since XE-stage validation scores are not comparable.
 
     Only this resets ``adam_t`` and only ``_update`` advances it, together
     with ``step``, so an SCST stage began at ``step - adam_t``.  The stage's
     ``scst.lambda_kd`` is recorded by ``train_scst``, which trains with it.
     """
     state.adam_t = 0
+    state.best = None
     state.m = {n: np.zeros_like(a) for n, a in state.m.items()}
     state.v = {n: np.zeros_like(a) for n, a in state.v.items()}
 
 
 def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabulary,
-               loop: LoopConfig, best: dict) -> dict:
+               loop: LoopConfig) -> dict:
     """The loop both stages share, from state.step + 1 up to loop.steps.
 
     ``step(number)`` makes one optimizer step and returns its log record
     without "step".  Every ``loop.val_every`` steps both models are scored
-    on held-out data, and each new best target score is saved as
-    ``best.ckpt``; ``last.ckpt`` is saved once the loop is done.  A run
-    ending off that schedule is scored for ``final_val`` alone, so a stop
-    there and a resume write what an uninterrupted run does.
+    on held-out data, and each new best target score becomes ``state.best``
+    and is saved as ``best.ckpt``; ``last.ckpt`` is saved once the loop is
+    done.  A run ending off that schedule is scored for ``final_val`` alone,
+    so a stop there and a resume write what an uninterrupted run does.
     """
     def save(name):
         if loop.ckpt_dir is None:
             return None
         path = f"{loop.ckpt_dir}/{name}"
-        save_checkpoint(path, state_to_checkpoint(state, vocab, stage, best))
+        save_checkpoint(path, state_to_checkpoint(state, vocab, stage))
         return path
 
     def validate():
@@ -519,9 +520,9 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
                 _append_log(log_fh, {"event": "val", "step": state.step,
                                      "val_cider_online": scores["online"],
                                      "val_cider_target": scores["target"]})
-                if best is None or scores["target"] > best["cider_target"]:
-                    best = {"step": state.step, "cider_target": scores["target"],
-                            "cider_online": scores["online"]}
+                if state.best is None or scores["target"] > state.best["cider_target"]:
+                    state.best = {"step": state.step, "cider_target": scores["target"],
+                                  "cider_online": scores["online"]}
                     save("best.ckpt")
         if validating and state.step > first and state.step % loop.val_every:
             scores = validate()
@@ -529,11 +530,11 @@ def _run_stage(state: TrainState, stage: str, step, val_samples, vocab: Vocabula
     finally:
         if log_fh is not None:
             log_fh.close()
-    return {"state": state, "best": best, "last_path": last_path, "final_val": scores}
+    return {"last_path": last_path, "final_val": scores}
 
 
 def train_xe(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
-             loop: LoopConfig, best: dict = None) -> dict:
+             loop: LoopConfig) -> dict:
     """XE + distillation stage, from state.step + 1 up to loop.steps."""
     if not train_samples:
         raise ValueError("no training samples")
@@ -550,11 +551,11 @@ def train_xe(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
         report = xe_step(state, batch, lr, rng_online, rng_target)
         return {"lr": lr, "reward_mean": None, "baseline": None, **report}
 
-    return _run_stage(state, "xe", step, val_samples, vocab, loop, best)
+    return _run_stage(state, "xe", step, val_samples, vocab, loop)
 
 
 def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
-               scst: ScstConfig, loop: LoopConfig, best: dict = None) -> dict:
+               scst: ScstConfig, loop: LoopConfig) -> dict:
     """Self-critical stage; rewards use document frequencies of the
     training references, validation uses the held-out ones."""
     if not train_samples:
@@ -571,4 +572,4 @@ def train_scst(state: TrainState, train_samples, val_samples, vocab: Vocabulary,
         report = scst_step(state, batch, scst, df, vocab, embedder)
         return {"lr": scst.learning_rate, "xe_loss": None, **report}
 
-    return _run_stage(state, "scst", step, val_samples, vocab, loop, best)
+    return _run_stage(state, "scst", step, val_samples, vocab, loop)

@@ -1,4 +1,5 @@
-"""Central-difference gradient checking for the autodiff engine."""
+"""Central-difference gradient checking for the autodiff engine, and the
+scalar loss the checks reduce an op's output to."""
 
 import numpy as np
 
@@ -39,3 +40,14 @@ def check_gradients(make_loss, leaves, h: float = 1e-5, tol: float = 1e-4) -> fl
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch {err:.3e} on leaf shape {leaf.data.shape}"
     return worst
+
+
+def sum_all(a: T.Tensor) -> T.Tensor:
+    """The sum of every entry of ``a``, as a recorded op: gradient checks
+    reduce an output to this scalar; no library code needs it."""
+    out = np.asarray(a.data.sum())
+
+    def bw(g, va):
+        va.accumulate_grad(np.broadcast_to(g, va.shape).copy())
+
+    return T._result(out, (a,), bw)

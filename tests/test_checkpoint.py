@@ -378,11 +378,12 @@ def test_checksum_valid_header_of_the_wrong_form_raises_value_error(tmp_path, ed
 def test_every_field_train_state_shares_with_checkpoint_survives_a_round_trip(tmp_path):
     shared = ({f.name for f in dataclasses.fields(TrainState)}
               & {f.name for f in dataclasses.fields(Checkpoint)})
-    assert shared >= {"config", "step", "adam_t", "seed", "momentum", "lambda_kd"}
+    assert shared >= {"config", "step", "adam_t", "seed", "momentum", "lambda_kd", "best"}
     cfg = ModelConfig(vocab_size=5, feature_dim=4, model_dim=8, feedforward_dim=8, num_heads=2)
     vocab = Vocabulary(["<pad>", "<bos>", "<eos>", "a</w>", "b</w>"], [])
     state = TrainState.create(cfg, seed=9, momentum=0.5, lambda_kd=0.25)
     state.step, state.adam_t = 17, 12
+    state.best = {"step": 16, "cider_target": 0.5, "cider_online": 0.25}
     fresh = TrainState.create(dataclasses.replace(cfg, max_length=9), seed=0)
     save_checkpoint(tmp_path / "run.ckpt", state_to_checkpoint(state, vocab, "xe"))
     back, _ = state_from_checkpoint(load_checkpoint(tmp_path / "run.ckpt"))

@@ -482,36 +482,56 @@ def test_val_every_on_an_empty_val_split_exits_two_before_step_one(overfit_run, 
     assert (out / "last.ckpt").exists() and not (out / "best.ckpt").exists()
 
 
-def _edit_references(data, part, edit):
-    """Rewrite captions.jsonl, the references of each image in split ``part`` as ``edit(refs)``."""
-    ids = set(json.loads((data / "split.json").read_text())[part])
-    rows = [json.loads(line) for line in (data / "captions.jsonl").read_text().splitlines()]
-    (data / "captions.jsonl").write_text("".join(
-        json.dumps({"id": r["id"], "refs": edit(r["refs"]) if r["id"] in ids else r["refs"]}) + "\n"
-        for r in rows))
+def _edit_references(part, edit):
+    """A dataset edit: the references of each image in split ``part`` become ``edit(refs)``."""
+    def apply(data):
+        ids = set(json.loads((data / "split.json").read_text())[part])
+        rows = [json.loads(line) for line in (data / "captions.jsonl").read_text().splitlines()]
+        (data / "captions.jsonl").write_text("".join(
+            json.dumps({"id": r["id"], "refs": edit(r["refs"]) if r["id"] in ids else r["refs"]})
+            + "\n" for r in rows))
+        return "captions.jsonl"
+    return apply
 
 
-# command, extra config values, and the split whose references are rewritten, and how;
-# the split None nests split.json too deeply instead
+def _nest_split(data):
+    (data / "split.json").write_text("[" * 100000 + "]" * 100000)
+    return "split.json"
+
+
+def _list_again(part):
+    """A dataset edit: split.json lists its first training image once more, in split ``part``."""
+    def apply(data):
+        split = json.loads((data / "split.json").read_text())
+        image = split["train"][0]
+        split[part].append(image)
+        (data / "split.json").write_text(json.dumps(split))
+        return f"split.json lists image {image} in train and again in {part}"
+    return apply
+
+
+# command, extra config values, and an edit of the dataset that returns what
+# the error must say
 _MALFORMED_DATASETS = {
-    "train-xe-empty-reference": ("train-xe", {}, "train", lambda refs: [""] + refs[1:]),
-    "train-xe-wordless-val-references": ("train-xe", dict(val_every=1), "val",
-                                         lambda refs: [" "] * len(refs)),
-    "train-scst-wordless-train-references": ("train-scst", {}, "train",
-                                             lambda refs: [" \t"] * len(refs)),
-    "train-xe-deep-split": ("train-xe", {}, None, None),
+    "train-xe-empty-reference": ("train-xe", {},
+                                 _edit_references("train", lambda refs: [""] + refs[1:])),
+    "train-xe-wordless-val-references": ("train-xe", dict(val_every=1),
+                                         _edit_references("val", lambda refs: [" "] * len(refs))),
+    "train-scst-wordless-train-references": (
+        "train-scst", {}, _edit_references("train", lambda refs: [" \t"] * len(refs))),
+    "train-xe-deep-split": ("train-xe", {}, _nest_split),
+    # validation would score a training image
+    "train-xe-image-in-train-and-val": ("train-xe", {}, _list_again("val")),
+    "train-scst-image-twice-in-train": ("train-scst", {}, _list_again("train")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_DATASETS))
 def test_a_malformed_dataset_exits_three_before_step_one(overfit_run, tmp_path, capsys, case):
-    command, values, part, edit = _MALFORMED_DATASETS[case]
+    command, values, edit = _MALFORMED_DATASETS[case]
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(overfit_run / "data", data)
-    if part is None:
-        (data / "split.json").write_text("[" * 100000 + "]" * 100000)
-    else:
-        _edit_references(data, part, edit)
+    says = edit(data)
     if command == "train-xe":
         kv, source = dict(TINY_MODEL, seed=7, steps=2, batch_size=4), []
     else:
@@ -520,7 +540,7 @@ def test_a_malformed_dataset_exits_three_before_step_one(overfit_run, tmp_path, 
     assert cli.main([command, cfg] + source) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "data"
-    assert ("split.json" if part is None else "captions.jsonl") in json.loads(err[0])["detail"]
+    assert says in json.loads(err[0])["detail"]
     assert not (out / "train_log.jsonl").exists() and not (out / "last.ckpt").exists()
 
 
@@ -956,13 +976,18 @@ def test_caption_of_checkpoint_that_does_not_fit_its_model_exits_three(tiny_file
     assert code == 3 and json.loads(err)["error"] == "data", err
 
 
+def _features(ids, g=2, d=4) -> bytes:
+    """A feature file with a record of ones for each id, as ``write_features`` lays one out."""
+    records = b"".join(struct.pack("<Q", i) + np.ones(g * d, "<f4").tobytes() for i in ids)
+    return (struct.pack("<4sHIII", b"CMLF", 1, g, d, len(ids)) + records
+            + struct.pack("<I", zlib.crc32(records)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3))
 def test_caption_of_feature_grids_of_any_shape_never_ends_in_a_traceback(tiny_files, g, d, count):
-    records = b"".join(struct.pack("<Q", i) + np.ones(g * d, "<f4").tobytes() for i in range(count))
-    features = (struct.pack("<4sHIII", b"CMLF", 1, g, d, count) + records
-                + struct.pack("<I", zlib.crc32(records)))
-    code, err = _run_cli(dict(tiny_files, **{"features.bin": features}), _CAPTION)
+    code, err = _run_cli(dict(tiny_files, **{"features.bin": _features(range(count), g, d)}),
+                         _CAPTION)
     # only a file of non-empty grids of the model's feature width can be captioned
     _assert_reported(code, err, allow_ok=g > 0 and d == 4 and count > 0)
 
@@ -1015,6 +1040,28 @@ def test_evaluate_names_the_line_of_a_malformed_caption_file(tiny_files, name, l
     assert code == 3, err
     detail = json.loads(err)["detail"]
     assert f"{name} line {len(lines)}" in detail, detail
+
+
+# an input that lists image 0 twice, the command that reads it, and where the error points
+_REPEATED_IDS = {
+    "candidates": (_EVALUATE, "cands.jsonl",
+                   b'{"id": 0, "caption": "a red ball"}\n{"id": 0, "caption": "a cube"}\n',
+                   "cands.jsonl line 2 repeats image 0, first on line 1"),
+    "references": (_EVALUATE, "captions.jsonl",
+                   b'{"id": 0, "refs": ["a red ball"]}\n{"id": 1, "refs": ["a cube"]}\n'
+                   b'{"id": 0, "refs": ["a star"]}\n',
+                   "captions.jsonl line 3 repeats image 0, first on line 1"),
+    "features": (_CAPTION, "features.bin", _features([0, 1, 0]), "holds image 0 twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_IDS))
+def test_an_image_listed_twice_in_a_file_exits_three_naming_it(tiny_files, case):
+    argv, name, content, message = _REPEATED_IDS[case]
+    code, err = _run_cli(dict(tiny_files, **{"cands.jsonl": b'{"id": 0, "caption": "a"}\n',
+                                             name: content}), argv)
+    assert code == 3, err
+    assert json.loads(err)["error"] == "data" and message in json.loads(err)["detail"], err
 
 
 def _gen_data(d):

@@ -130,10 +130,12 @@ def test_what_write_features_accepts_reads_back_bit_for_bit(grids):
         path = os.path.join(tmp, "feat.bin")
         try:
             data.write_features(path, grids)
-        except ValueError:  # an empty grid, or a value float32 cannot hold
+        except ValueError:  # an empty grid, a value float32 cannot hold, or an id twice
             g = grids[0].grid
             with np.errstate(over="ignore"):
-                assert 0 in g.shape or not all(np.isfinite(x.grid.astype("<f4")).all() for x in grids)
+                assert (0 in g.shape
+                        or not all(np.isfinite(x.grid.astype("<f4")).all() for x in grids)
+                        or len({x.image_id for x in grids}) < len(grids))
             return
         back = data.read_features(path)
     assert [b.image_id for b in back] == [g.image_id for g in grids]
@@ -240,7 +242,8 @@ def test_captions_reject_malformed(tmp_path):
                  '{"id": null, "refs": ["a dog"]}', '{"id": 1.7, "refs": ["a dog"]}',
                  '{"id": true, "refs": ["a dog"]}', '{"id": "1", "refs": ["a dog"]}',
                  '{"id": 1, "refs": 5}', '{"id": 1, "refs": []}', '{"id": 1, "refs": ["a dog", 3]}',
-                 '{"id": 1, "refs": [""]}', '{"id": 1, "refs": ["a dog", " \\t"]}']:
+                 '{"id": 1, "refs": [""]}', '{"id": 1, "refs": ["a dog", " \\t"]}',
+                 '{"id": 0, "refs": ["a dog"]}']:
         path.write_text('{"id": 0, "refs": ["a cat"]}\n' + line + "\n")
         with pytest.raises(ValueError, match="line 2"):
             data.read_captions(path)
@@ -259,8 +262,9 @@ _CAPTION_LINE = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_CAPTION_LINE, max_size=5))
 def test_read_captions_gives_worded_references_or_a_value_error_naming_a_line(lines):
-    """Any JSON-lines file: every reference read back holds a word, or the
-    reader refuses the file with a ValueError that names a line."""
+    """Any JSON-lines file: every line is read back, under an id no other
+    line has, with references that each hold a word; or the reader refuses
+    the file with a ValueError that names a line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "caps.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
@@ -270,6 +274,7 @@ def test_read_captions_gives_worded_references_or_a_value_error_naming_a_line(li
         except ValueError as exc:
             assert re.search(r"line \d+", str(exc)), exc
             return
+    assert len(refs) == sum(1 for line in lines if line.strip())
     assert all(r.split() for texts in refs.values() for r in texts)
 
 
@@ -277,6 +282,13 @@ def test_captions_are_read_as_utf8_and_blank_lines_skipped(tmp_path):
     path = tmp_path / "caps.jsonl"
     path.write_bytes('{"id": 0, "refs": ["a café"]}\n\n{"id": 1, "refs": ["a dog"]}\n'.encode("utf-8"))
     assert data.read_captions(path) == {0: ["a café"], 1: ["a dog"]}
+
+
+def test_write_features_refuses_an_image_twice(tmp_path):
+    grids = [data.FeatureGrid(i, np.zeros((1, 2), np.float32)) for i in (4, 5, 4)]
+    with pytest.raises(ValueError, match="image 4 has two grids"):
+        data.write_features(tmp_path / "feat.bin", grids)
+    assert not os.listdir(tmp_path)  # refused before any file is opened
 
 
 def test_write_features_refuses_no_grids_or_grids_of_two_shapes(tmp_path):

@@ -67,9 +67,10 @@ def run_pipeline(work: Path) -> str:
     runs = [
         ["gen-data", _cfg(work / "data.cfg", seed=5, out_dir=str(data), num_images=16,
                           max_objects=2, refs_per_image=3, grid_size=3, feature_dim=8)],
-        # the mesh, distillation and dropout all on, and one validation
+        # the mesh, distillation and dropout all on, and validations where the
+        # two models score apart (at step 150 they tie), so a swap of their names shows
         ["train-xe", _cfg(work / "xe.cfg", seed=5, data_dir=str(data), out_dir=str(work / "xe"),
-                          steps=150, batch_size=8, warmup=40, val_every=150, val_beam=2,
+                          steps=150, batch_size=8, warmup=40, val_every=50, val_beam=2,
                           mesh_enabled=True, lambda_kd=0.1, dropout_rate=0.1, momentum=0.9,
                           **MODEL)],
         ["train-scst", _cfg(work / "scst.cfg", data_dir=str(data), out_dir=str(work / "scst"),
@@ -156,31 +157,53 @@ def test_the_bit_change_report_sizes_each_artifact(tmp_path):
     ]
 
 
+def _against_a_copy(tmp_path, module: str, snippet: str, replacement: str):
+    """``--against`` a copy of this tree with ``snippet`` of ``module`` replaced:
+    each artifact's status line by name, and the whole report."""
+    other = tmp_path / "src"
+    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "meancap" / module
+    text = path.read_text()
+    assert text.count(snippet) == 1
+    path.write_text(text.replace(snippet, replacement))
+    run = subprocess.run([sys.executable, __file__, "--against", str(other)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert run.returncode == 0, run.stderr
+    # each change is sized on the lines under its name
+    status = dict(line.split(": ") for line in run.stdout.splitlines() if not line.startswith(" "))
+    assert re.findall(r"^(\S+): changed\n  \S", run.stdout, re.M) == [
+        name for name, how in status.items() if how == "changed"]
+    return status, run.stdout
+
+
+_ARTIFACTS = ("captions.jsonl", "data/captions.jsonl", "data/features.bin", "data/split.json",
+              "scores.json", "scst/last.ckpt", "scst/train_log.jsonl", "xe/best.ckpt",
+              "xe/last.ckpt", "xe/train_log.jsonl")
+
+
 def test_against_names_what_a_one_ulp_momentum_change_moves(tmp_path):
     """``--against`` a copy of this tree whose EMA momentum is one float32 ulp
     higher (the target's parameters are float32): every trained artifact
     changes, the data does not."""
-    other = tmp_path / "src"
-    shutil.copytree(SRC, other, ignore=shutil.ignore_patterns("__pycache__"))
-    training = other / "meancap" / "training.py"
-    text = training.read_text()
-    snippet = "t_p.data = momentum * t_p.data + (1.0 - momentum) * online[name].data"
-    assert text.count(snippet) == 1
-    training.write_text(text.replace(snippet, (
+    status, report = _against_a_copy(
+        tmp_path, "training.py",
+        "t_p.data = momentum * t_p.data + (1.0 - momentum) * online[name].data",
         "m = np.nextafter(momentum, 1.0, dtype=t_p.data.dtype)\n"
-        "            t_p.data = m * t_p.data + (1.0 - m) * online[name].data")))
-    run = subprocess.run([sys.executable, __file__, "--against", str(other)], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert run.returncode == 0, run.stderr
-    status = dict(line.split(": ") for line in run.stdout.splitlines() if not line.startswith(" "))
+        "            t_p.data = m * t_p.data + (1.0 - m) * online[name].data")
     assert status == {name: "unchanged" if name.startswith("data/") else "changed"
-                      for name in ("captions.jsonl", "data/captions.jsonl", "data/features.bin",
-                                   "data/split.json", "scores.json", "scst/last.ckpt",
-                                   "scst/train_log.jsonl", "xe/best.ckpt", "xe/last.ckpt",
-                                   "xe/train_log.jsonl")}, run.stdout
-    # and each change is sized on the lines under its name
-    assert re.findall(r"^(\S+): changed\n  \S", run.stdout, re.M) == [
-        name for name, how in status.items() if how == "changed"]
+                      for name in _ARTIFACTS}, report
+
+
+def test_against_sees_validation_swap_the_two_models_names(tmp_path):
+    """``--against`` a copy of this tree that scores the target as online in
+    validation and the online model as target: the XE stage's log and both
+    of its checkpoints change, since the best score and step move."""
+    status, report = _against_a_copy(
+        tmp_path, "training.py", '(("online", state.online), ("target", state.target))',
+        '(("online", state.target), ("target", state.online))')
+    assert status == {name: "changed" if name.startswith("xe/") else "unchanged"
+                      for name in _ARTIFACTS}, report
+    assert "header best" in report
 
 
 # -- the bit-change report ----------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from meancap import tensor as T
 from meancap.model import NEG_INF
 from meancap.training import _xe_weights
-from gradcheck import check_gradients
+from gradcheck import check_gradients, sum_all
 
 
 class FixedRng:
@@ -39,7 +39,7 @@ def test_add_sub_mul_gradients():
     for _ in range(10):
         a = leaf(rng, 3, 4)
         b = leaf(rng, 3, 4)
-        check_gradients(lambda: T.sum_all(T.mul(T.add(a, b), T.add(a, T.scale(b, -1.0)))), [a, b])
+        check_gradients(lambda: sum_all(T.mul(T.add(a, b), T.add(a, T.scale(b, -1.0)))), [a, b])
 
 
 def test_broadcast_add_mul_gradients():
@@ -47,14 +47,14 @@ def test_broadcast_add_mul_gradients():
     for _ in range(10):
         a = leaf(rng, 4, 3)
         b = leaf(rng, 1, 3)
-        check_gradients(lambda: T.sum_all(T.mul(T.add(a, b), b)), [a, b])
+        check_gradients(lambda: sum_all(T.mul(T.add(a, b), b)), [a, b])
 
 
 def test_scale_of_a_sum_gradients():
     rng = np.random.default_rng(13)
     for _ in range(10):
         parts = [leaf(rng, 2, 3) for _ in range(4)]
-        check_gradients(lambda: T.sum_all(T.scale(functools.reduce(T.add, parts), -0.7)), parts)
+        check_gradients(lambda: sum_all(T.scale(functools.reduce(T.add, parts), -0.7)), parts)
 
 
 def test_linear_2d_gradients():
@@ -63,7 +63,7 @@ def test_linear_2d_gradients():
         x = leaf(rng, 3, 5)
         w = leaf(rng, 5, 2)
         b = leaf(rng, 2)
-        check_gradients(lambda: T.sum_all(T.linear(x, w, b)), [x, w, b])
+        check_gradients(lambda: sum_all(T.linear(x, w, b)), [x, w, b])
 
 
 def test_linear_batched_gradients():
@@ -73,7 +73,7 @@ def test_linear_batched_gradients():
         w = leaf(rng, 4, 3)
         b = leaf(rng, 3)
         proj = constant(rng.standard_normal((2, 3, 3)))
-        check_gradients(lambda: T.sum_all(T.mul(T.linear(x, w, b), proj)), [x, w, b])
+        check_gradients(lambda: sum_all(T.mul(T.linear(x, w, b), proj)), [x, w, b])
 
 
 def test_linear_shape_errors_report_both_shapes():
@@ -134,7 +134,7 @@ def test_concat_slice_gradients():
 
         def loss():
             cat = T.concat([a, b], axis=0)
-            return T.sum_all(T.mul(T.embedding(cat, [1, 2, 5]), w))
+            return sum_all(T.mul(T.embedding(cat, [1, 2, 5]), w))
 
         check_gradients(loss, [a, b])
 
@@ -145,7 +145,7 @@ def test_embedding_gradients_with_repeated_ids():
         table = leaf(rng, 6, 4)
         ids = rng.integers(0, 6, size=7)
         weights = constant(rng.standard_normal((7, 4)))
-        check_gradients(lambda: T.sum_all(T.mul(T.embedding(table, ids), weights)), [table])
+        check_gradients(lambda: sum_all(T.mul(T.embedding(table, ids), weights)), [table])
 
 
 def test_embedding_rejects_out_of_range():
@@ -160,9 +160,9 @@ def test_relu_sigmoid_gradients():
         data = rng.standard_normal((3, 4))
         data[np.abs(data) < 0.1] = 0.5  # keep finite differences off the kink
         a = T.parameter(data)
-        check_gradients(lambda: T.sum_all(T.relu(a)), [a])
+        check_gradients(lambda: sum_all(T.relu(a)), [a])
         b = leaf(rng, 3, 4)
-        check_gradients(lambda: T.sum_all(T.sigmoid(b)), [b])
+        check_gradients(lambda: sum_all(T.sigmoid(b)), [b])
 
 
 def test_softmax_rows_are_a_simplex():
@@ -184,7 +184,7 @@ def test_softmax_gradients():
         k = leaf(rng, 5, 5)
         w = constant(rng.standard_normal((3, 5)))
         eye = constant(np.eye(5))
-        check_gradients(lambda: T.sum_all(T.mul(T.attention(q, k, eye, 1), w)), [q, k])
+        check_gradients(lambda: sum_all(T.mul(T.attention(q, k, eye, 1), w)), [q, k])
 
 
 def test_log_softmax_matches_log_of_softmax():
@@ -202,7 +202,7 @@ def test_layer_norm_gradients():
         gain = T.parameter(rng.uniform(0.5, 1.5, size=6))
         bias = T.parameter(rng.standard_normal(6) * 0.1)
         w = constant(rng.standard_normal((4, 6)))
-        check_gradients(lambda: T.sum_all(T.mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
+        check_gradients(lambda: sum_all(T.mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
 
 
 def test_layer_norm_output_statistics():
@@ -375,7 +375,7 @@ def test_dropout_eval_is_identity_and_train_grad_matches():
     x = T.parameter(rng.standard_normal((4, 5)))
     assert T.dropout(x, 0.5, None) is x
     fixed = FixedRng(rng.random((4, 5)))
-    check_gradients(lambda: T.sum_all(T.dropout(x, 0.4, fixed)), [x])
+    check_gradients(lambda: sum_all(T.dropout(x, 0.4, fixed)), [x])
     kept = T.dropout(x, 0.4, fixed).data
     mask = fixed.values >= 0.4
     np.testing.assert_allclose(kept[mask], x.data[mask] / 0.6, atol=1e-12)
@@ -385,20 +385,28 @@ def test_dropout_eval_is_identity_and_train_grad_matches():
 def test_sum_of_parameters_gives_unit_gradients():
     rng = np.random.default_rng(31)
     params = [T.parameter(rng.standard_normal((3, 3))) for _ in range(3)]
-    loss = T.sum_all(functools.reduce(T.add, params))
+    loss = sum_all(functools.reduce(T.add, params))
     T.backward(loss)
     for p in params:
         np.testing.assert_array_equal(p.grad, np.ones((3, 3)))
+
+
+def test_sum_all_helper_passes_its_gradient_check():
+    """Every other gradient check reduces to ``sum_all``, so it is checked on its own."""
+    for instance in range(10):
+        rng = np.random.default_rng([17, instance])
+        a = leaf(rng, *rng.integers(1, 5, size=int(rng.integers(1, 4))))
+        check_gradients(lambda: sum_all(a), [a])
 
 
 def test_backward_twice_raises():
     for recorded in (True, False):
         a = T.parameter(np.ones(3))
         if recorded:
-            loss = T.sum_all(a)
+            loss = sum_all(a)
         else:
             with T.no_grad():
-                loss = T.sum_all(a)  # a loss that needs no gradient: backward just returns
+                loss = sum_all(a)  # a loss that needs no gradient: backward just returns
         T.backward(loss)
         assert (a.grad is not None) == recorded
         with pytest.raises(RuntimeError):
@@ -423,7 +431,7 @@ def _graph_with_saved_arrays(rng):
     saved = [weakref.ref(c.cell_contents) for node in (h, att, out)
              for c in node._vertex._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
     saved.append(weakref.ref(h.data))
-    return (x, w), h, T.sum_all(T.mul(out, out)), saved
+    return (x, w), h, sum_all(T.mul(out, out)), saved
 
 
 def test_backward_frees_every_array_the_graph_saved_without_a_collection():
@@ -489,7 +497,7 @@ def test_values_no_backward_reads_die_with_their_handles():
         residual = T.add(x, dropped)
         normed = T.layer_norm(residual, gain, bias)
         y = T.linear(T.relu(normed), w2, b2)
-        loss = T.sum_all(y)
+        loss = sum_all(y)
         unread = [weakref.ref(t.data) for t in (h, dropped, residual, normed, y)]
         del h, dropped, residual, normed, y
         assert [ref() is None for ref in unread] == [True] * len(unread)
@@ -504,7 +512,7 @@ def test_values_no_backward_reads_die_with_their_handles():
 
 def test_second_backward_through_a_consumed_shared_node_raises():
     a = T.parameter(np.full((2, 2), 3.0))
-    shared = T.sum_all(T.mul(a, a))
+    shared = sum_all(T.mul(a, a))
     first, second = T.scale(shared, 1.0), T.scale(shared, 2.0)
     T.backward(first)
     before = a.grad.copy()
@@ -560,7 +568,7 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
     u, g = rng.random((3, 4, 8)), rng.standard_normal((3, 4, 8)).astype(dtype)
     xp = T.parameter(x)
     out = T.dropout(xp, 0.3, FixedRng(u))
-    T.backward(T.sum_all(T.mul(out, constant(g, dtype))))
+    T.backward(sum_all(T.mul(out, constant(g, dtype))))
     want_out, want_dx = _dropout_reference(x, u, 0.3, g)
     # a leaf's first gradient is copied as ``g + 0.0``, which turns -0.0 into +0.0
     assert _same_bits(out.data, want_out) and _same_bits(xp.grad, want_dx + 0.0)
@@ -577,7 +585,7 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
         vp = T.parameter(v)
         out = T.attention(qp, kp, vp, 2, mask)
         g = rng.standard_normal(out.shape).astype(dtype)
-        T.backward(T.sum_all(T.mul(out, constant(g, dtype))))
+        T.backward(sum_all(T.mul(out, constant(g, dtype))))
         want = _attention_reference(q, k, v, 2, mask, g)
         assert _same_bits(out.data, want[0])
         assert _same_bits(vp.grad, want[3] + 0.0)
@@ -590,7 +598,7 @@ def test_dropout_and_attention_keep_the_bits_of_their_saved_array_forms(dtype):
 def test_no_grad_suppresses_graph():
     a = T.parameter(np.ones((2, 2)))
     with T.no_grad():
-        out = T.sum_all(T.mul(a, a))
+        out = sum_all(T.mul(a, a))
     assert not out.requires_grad
     assert out._vertex is None
     assert T.mul(a, a).requires_grad  # recording resumes on exit
@@ -600,7 +608,7 @@ def test_shared_node_gradient_accumulates_once_per_path():
     # f(x) = sum(x*x + x*x) reuses the same product node twice
     a = T.parameter(np.full((2, 2), 3.0))
     sq = T.mul(a, a)
-    loss = T.sum_all(T.add(sq, sq))
+    loss = sum_all(T.add(sq, sq))
     T.backward(loss)
     np.testing.assert_allclose(a.grad, np.full((2, 2), 12.0), atol=1e-12)
 
@@ -610,7 +618,7 @@ def test_deep_chain_does_not_overflow():
     cur = x
     for _ in range(5000):
         cur = T.scale(cur, 1.0)
-    T.backward(T.sum_all(cur))
+    T.backward(sum_all(cur))
     np.testing.assert_allclose(x.grad, [1.0])
 
 

@@ -261,10 +261,10 @@ def test_lambda_zero_reduces_to_plain_xe():
 
     state = tr.TrainState.create(cfg, seed, lambda_kd=0.0)
     loop = tr.LoopConfig(steps=steps, batch_size=bs, warmup=warmup)
-    out = tr.train_xe(state, samples, [], vocab, loop)
+    tr.train_xe(state, samples, [], vocab, loop)
 
     ref_params, _ = plain_xe_loop(samples, vocab, cfg, seed, steps, bs, warmup)
-    assert snapshot(out["state"].online) == snapshot(ref_params)
+    assert snapshot(state.online) == snapshot(ref_params)
 
 
 def test_lambda_positive_diverges_from_plain_xe():
@@ -582,7 +582,7 @@ def test_xe_resume_is_bitwise_identical(tmp_path):
     ckpt = load_checkpoint(b / "last.ckpt")
     state, vocab_back = tr.state_from_checkpoint(ckpt)
     assert vocab_back.tokens == vocab.tokens
-    tr.train_xe(state, train, val, vocab_back, loop_cfg(b, total), best=ckpt.best)
+    tr.train_xe(state, train, val, vocab_back, loop_cfg(b, total))
 
     assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
     assert (a / "best.ckpt").read_bytes() == (b / "best.ckpt").read_bytes()
@@ -610,12 +610,12 @@ def test_resume_after_an_off_schedule_stop_is_bitwise_identical(tmp_path):
     assert [r["step"] for r in records if r.get("event") == "val"] == [3]
 
     b = tmp_path / "resumed"
-    out = tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(b, 2))
-    assert out["final_val"] is not None and out["best"] is None
+    state = tr.TrainState.create(cfg, seed)
+    out = tr.train_xe(state, train, val, vocab, loop_cfg(b, 2))
+    assert out["final_val"] is not None and state.best is None
     assert not (b / "best.ckpt").exists()
-    ckpt = load_checkpoint(b / "last.ckpt")
-    state, _ = tr.state_from_checkpoint(ckpt)
-    tr.train_xe(state, train, val, vocab, loop_cfg(b, 4), best=ckpt.best)
+    state, _ = tr.state_from_checkpoint(load_checkpoint(b / "last.ckpt"))
+    tr.train_xe(state, train, val, vocab, loop_cfg(b, 4))
     assert artifacts(a) == artifacts(b)
 
 
@@ -664,7 +664,7 @@ def test_resume_from_an_older_checkpoint_logs_each_step_once(tmp_path):
     def resume(path, d, steps):
         ckpt = load_checkpoint(path)
         state, _ = tr.state_from_checkpoint(ckpt)
-        tr.train_xe(state, train, val, vocab, loop_cfg(d, steps), best=ckpt.best)
+        tr.train_xe(state, train, val, vocab, loop_cfg(d, steps))
 
     a = tmp_path / "straight"
     tr.train_xe(tr.TrainState.create(cfg, seed), train, val, vocab, loop_cfg(a, 4))
@@ -694,14 +694,14 @@ def test_validation_scores_each_model_under_its_own_name(tmp_path):
     state = tr.TrainState.create(cfg, seed=5, momentum=1.0)
     loop = tr.LoopConfig(steps=30, batch_size=3, warmup=10, val_every=30, val_beam=2,
                          log_path=str(log))
-    best = tr.train_xe(state, train, val, vocab, loop)["best"]
+    tr.train_xe(state, train, val, vocab, loop)
     df = DocumentFrequency([s.references for s in val])
     online, target = (tr.validate_cider(params, cfg, val, vocab, 2, df)
                       for params in (state.online, state.target))
     assert online != target
     [record] = [r for r in map(json.loads, log.read_text().splitlines()) if "event" in r]
     assert (record["val_cider_online"], record["val_cider_target"]) == (online, target)
-    assert (best["cider_online"], best["cider_target"]) == (online, target)
+    assert (state.best["cider_online"], state.best["cider_target"]) == (online, target)
 
 
 def test_both_stages_log_the_same_record_keys(tmp_path):
